@@ -13,9 +13,9 @@ comparison table to ``benchmarks/results/fft_backend_comparison.txt``;
 ``test_bench_interp_backend_comparison`` does the same for the
 interpolation subsystem (scalar vs batched, plan-cached vs uncached, per
 gather engine) and writes ``benchmarks/results/interp_backend_comparison.txt``;
-``test_bench_plan_memory`` compares the fat and memory-lean stencil-plan
-layouts (bytes, build time, execute time) at 128^3 and pins the ISSUE's
-<= 30% memory criterion.  All three also emit machine-readable twins
+``test_bench_plan_memory`` records the stencil plan's resident bytes, build
+time and execute time at 128^3 and pins its one-chunk memory cap.  All
+three also emit machine-readable twins
 (``benchmarks/results/*.json``) so the perf trajectory can be tracked
 across PRs.  (They time directly instead of using the ``benchmark``
 fixture so all backends land in one table; run them with
@@ -53,7 +53,7 @@ BACKEND_COMPARISON_N = 128
 #: for quick local iterations).
 INTERP_COMPARISON_N = int(os.environ.get("REPRO_BENCH_INTERP_N", "128"))
 
-#: Resolution of the stencil-plan memory comparison (fat vs lean layout).
+#: Resolution of the stencil-plan memory table.
 PLAN_MEMORY_N = int(os.environ.get("REPRO_BENCH_PLAN_N", "128"))
 
 
@@ -318,19 +318,16 @@ def test_bench_interp_backend_comparison(record_text, record_json):
 
 
 # --------------------------------------------------------------------------- #
-# stencil-plan memory: fat vs lean layout (written to benchmarks/results/)
+# stencil-plan memory (written to benchmarks/results/)
 # --------------------------------------------------------------------------- #
 def test_bench_plan_memory(record_text, record_json):
-    """Fat vs lean vs streaming stencil plans at 128^3: bytes, build, execute.
+    """The stencil plan at 128^3: resident bytes, build time, execute time.
 
-    Pins the acceptance criteria deterministically (no wall-clock gate):
-    the lean tricubic plan must use <= 30% of the fat layout's memory, and
-    the streaming plan's resident bytes must not exceed one executor chunk
-    (the out-of-core cap: independent of the grid size), while all three
-    layouts gather bitwise-identical values.  The JSON twin records plan
-    bytes and plan-build vs execute time for every layout, plus the
-    analytic per-point memory model for 64^3/128^3/256^3/512^3 (the
-    README's pool-sizing table).
+    Pins deterministically (no wall-clock gate) that the plan's resident
+    bytes do not exceed one executor chunk — independent of the grid size —
+    and that the threaded executor gathers bitwise-identical values.  The
+    JSON twin also records the analytic per-point memory model for
+    64^3/128^3/256^3/512^3 (the README's pool-sizing table).
     """
     n = PLAN_MEMORY_N
     grid = Grid((n, n, n))
@@ -347,79 +344,59 @@ def test_bench_plan_memory(record_text, record_json):
     from repro.transport.kernels import STENCIL_CHUNK
 
     method = "catmull_rom"
-    layouts = {}
-    outputs = {}
-    for layout in ("fat", "lean", "streaming"):
-        plan = build_stencil_plan(grid.shape, coords, method, layout=layout)
-        build = _best_of(
-            lambda layout=layout: build_stencil_plan(grid.shape, coords, method, layout=layout),
-            repeats=3,
-        )
-        execute = _best_of(lambda p=plan: execute_stencil_plan(flat, p), repeats=3)
-        outputs[layout] = execute_stencil_plan(flat, plan)
-        layouts[layout] = {
-            "plan_nbytes": plan.nbytes,
-            "bytes_per_point": plan.nbytes / grid.num_points,
-            "plan_build_seconds": build,
-            "execute_seconds_per_field": execute,
-        }
-
-    np.testing.assert_array_equal(outputs["lean"], outputs["fat"])
-    np.testing.assert_array_equal(outputs["streaming"], outputs["fat"])
-    ratio = layouts["lean"]["plan_nbytes"] / layouts["fat"]["plan_nbytes"]
+    plan = build_stencil_plan(grid.shape, coords, method)
+    build = _best_of(lambda: build_stencil_plan(grid.shape, coords, method), repeats=3)
+    execute = _best_of(lambda: execute_stencil_plan(flat, plan, workers=1), repeats=3)
+    np.testing.assert_array_equal(
+        execute_stencil_plan(flat, plan, workers=2), execute_stencil_plan(flat, plan, workers=1)
+    )
     chunk_cap = 3 * STENCIL_CHUNK * (np.dtype(np.intp).itemsize + 8)
+    result = {
+        "plan_nbytes": plan.nbytes,
+        "bytes_per_point": plan.nbytes / grid.num_points,
+        "plan_build_seconds": build,
+        "execute_seconds_per_field": execute,
+    }
 
-    # analytic per-point model (tricubic): fat = 3*(taps*8) index parts +
-    # 3*(taps*8) weights; lean = 3*4 (int32 base) + 3*8 (float64 frac);
-    # streaming = one chunk of scratch, independent of the point count
-    fat_per_point = 2 * 3 * 4 * 8
-    lean_per_point = 3 * (4 + 8)
+    # analytic model: the plan owns one chunk of scratch; the departure
+    # points (24 B/point) and the wrapped coordinates it borrows (24
+    # B/point) are owned by the pooled gather plan, twice per transport
+    # plan (forward + backward characteristics)
     memory_table = {
         f"{m}^3": {
             "points": m**3,
-            "fat_plan_bytes": fat_per_point * m**3,
-            "lean_plan_bytes": lean_per_point * m**3,
-            "streaming_plan_bytes": min(chunk_cap, 3 * (8 + 8) * m**3),
-            "transport_plan_pair_lean_bytes": 2 * (lean_per_point + 24 + 24) * m**3,
+            "plan_bytes": chunk_cap,
+            "borrowed_coordinate_bytes": 24 * m**3,
+            "transport_plan_pair_bytes": 2 * ((24 + 24) * m**3 + chunk_cap),
         }
         for m in (64, 128, 256, 512)
     }
 
-    header = f"{'layout':<10} {'plan bytes':>14} {'B/point':>9} {'build [s]':>10} {'execute [s]':>12}"
+    header = f"{'plan bytes':>14} {'B/point':>9} {'build [s]':>10} {'execute [s]':>12}"
     rows = [
-        f"tricubic stencil plan, fat vs lean vs streaming layout at {n}^3 "
-        f"({grid.num_points} points)",
-        "(streaming bytes = resident stencil scratch, capped at one "
+        f"tricubic stencil plan at {n}^3 ({grid.num_points} points)",
+        "(plan bytes = resident stencil scratch, capped at one "
         f"{STENCIL_CHUNK}-point chunk; its coordinates are borrowed)",
         header,
         "-" * len(header),
+        f"{result['plan_nbytes']:>14d} {result['bytes_per_point']:>9.2f} "
+        f"{build:>10.4f} {execute:>12.4f}",
+        f"resident bytes: {result['plan_nbytes']} (acceptance: <= one chunk = {chunk_cap})",
     ]
-    for layout, data in layouts.items():
-        rows.append(
-            f"{layout:<10} {data['plan_nbytes']:>14d} {data['bytes_per_point']:>9.2f} "
-            f"{data['plan_build_seconds']:>10.4f} {data['execute_seconds_per_field']:>12.4f}"
-        )
-    rows.append(f"lean / fat memory ratio: {ratio:.3f} (acceptance: <= 0.30)")
-    rows.append(
-        f"streaming resident bytes: {layouts['streaming']['plan_nbytes']} "
-        f"(acceptance: <= one chunk = {chunk_cap})"
-    )
     record_text("plan_memory", "\n".join(rows))
     record_json(
         "plan_memory",
         {
-            "benchmark": "stencil-plan memory, fat vs lean vs streaming layout",
+            "benchmark": "stencil-plan memory",
             "grid": [n, n, n],
             "num_points": grid.num_points,
             "method": method,
             "stencil_chunk_points": STENCIL_CHUNK,
-            "layouts": layouts,
-            "lean_over_fat_memory_ratio": ratio,
-            "streaming_chunk_cap_bytes": chunk_cap,
-            "bitwise_identical": True,
+            "plan": result,
+            "chunk_cap_bytes": chunk_cap,
+            "threaded_bitwise_identical": True,
             "memory_model_tricubic": memory_table,
         },
     )
 
-    assert ratio <= 0.30, f"lean plan uses {ratio:.1%} of the fat layout's memory"
-    assert layouts["streaming"]["plan_nbytes"] <= chunk_cap
+    assert result["plan_nbytes"] <= chunk_cap

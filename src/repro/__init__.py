@@ -39,7 +39,7 @@ Queued (service) style::
     jobs = [repro.submit(moving, atlas) for moving in subjects]
     results = repro.gather(jobs)
 
-Execution knobs (backends, plan layout, workers, pool budget) travel in a
+Execution knobs (backends, workers, pool budget) travel in a
 :class:`repro.RegistrationConfig`; see its docstring for the precedence
 rules against the ``REPRO_*`` environment variables.
 """

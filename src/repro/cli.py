@@ -27,7 +27,7 @@ Python:
     ``$REPRO_SERVICE_JOURNAL``) every submission is crash-safe — a killed
     service re-queues its unfinished jobs on restart.
 
-Execution knobs (``--fft-backend``, ``--plan-layout``, ``--workers``, ...)
+Execution knobs (``--fft-backend``, ``--plan-pool-bytes``, ``--workers``, ...)
 are shared by ``register`` and ``serve``; internally they are layered onto
 a :class:`repro.config.RegistrationConfig` (flags beat config fields beat
 ``REPRO_*`` environment variables beat built-in defaults).
@@ -59,7 +59,7 @@ from repro.core.gradients import gradient_cache_decision_log
 from repro.core.optim.gauss_newton import SolverOptions
 from repro.core.registration import RegistrationSolver
 from repro.data.brain import brain_registration_pair
-from repro.data.io import load_problem, memmap_npz_member, open_problem
+from repro.data.io import load_problem
 from repro.data.synthetic import synthetic_population, synthetic_registration_problem
 from repro.observability import (
     env_trace_out,
@@ -69,18 +69,16 @@ from repro.observability import (
 )
 from repro.parallel.machines import get_machine
 from repro.parallel.performance import RegistrationCostModel
-from repro.runtime import get_plan_pool, layout_decision_log
+from repro.runtime import get_plan_pool
 from repro.spectral.backends import (
     BackendUnavailableError,
     available_backends,
     registered_backends,
 )
 from repro.transport.kernels import (
-    PLAN_LAYOUT_CHOICES,
     available_backends as available_interp_backends,
     registered_backends as registered_interp_backends,
 )
-from repro.transport.sources import FIELD_SOURCE_MODES, default_field_source
 from repro.utils.logging import set_verbosity
 
 
@@ -111,19 +109,6 @@ def _add_config_flags(sub: argparse.ArgumentParser) -> None:
         ),
     )
     sub.add_argument(
-        "--plan-layout",
-        choices=PLAN_LAYOUT_CHOICES,
-        default=None,
-        help=(
-            "stencil-plan storage layout: 'auto' (budget-aware: streaming "
-            "when a plan's projected lean bytes exceed a fraction of the "
-            "pool budget, lean otherwise), 'lean' (36 B/point), 'fat' "
-            "(192 B/point), or 'streaming' (chunk-resident, for out-of-core "
-            "grids; default: $REPRO_PLAN_LAYOUT or 'auto'); all layouts are "
-            "bitwise identical"
-        ),
-    )
-    sub.add_argument(
         "--plan-pool-bytes",
         type=int,
         default=None,
@@ -134,16 +119,6 @@ def _add_config_flags(sub: argparse.ArgumentParser) -> None:
         ),
     )
     sub.add_argument(
-        "--auto-fraction",
-        type=float,
-        default=None,
-        metavar="F",
-        help=(
-            "threshold fraction of the budget-aware 'auto' plan layout "
-            "(default: $REPRO_PLAN_AUTO_FRACTION or 0.5)"
-        ),
-    )
-    sub.add_argument(
         "--workers",
         type=int,
         default=None,
@@ -151,18 +126,7 @@ def _add_config_flags(sub: argparse.ArgumentParser) -> None:
         help=(
             "shared worker count for threaded kernels (default: $REPRO_WORKERS; "
             "per-subsystem $REPRO_FFT_WORKERS / $REPRO_INTERP_WORKERS / "
-            "$REPRO_SERVICE_WORKERS / $REPRO_IO_WORKERS override it)"
-        ),
-    )
-    sub.add_argument(
-        "--field-source",
-        choices=FIELD_SOURCE_MODES,
-        default=None,
-        help=(
-            "field-source mode: 'resident' gathers in-memory stacks, "
-            "'memmap' runs every gather through a memory-mapped on-disk "
-            "source with overlapped tile prefetch (bitwise identical; "
-            "default: $REPRO_FIELD_SOURCE or 'resident')"
+            "$REPRO_SERVICE_WORKERS override it)"
         ),
     )
     sub.add_argument(
@@ -195,11 +159,8 @@ def _config_from_args(
     overrides = {
         "fft_backend": args.fft_backend,
         "interp_backend": args.interp_backend,
-        "plan_layout": args.plan_layout,
         "plan_pool_bytes": args.plan_pool_bytes,
-        "auto_fraction": args.auto_fraction,
         "workers": args.workers,
-        "field_source": args.field_source,
         "trace": args.trace,
         "trace_out": args.trace_out,
     }
@@ -366,18 +327,7 @@ def _export_trace(config: RegistrationConfig) -> Optional[str]:
 
 def _load_pair(args: argparse.Namespace):
     if args.input:
-        if default_field_source() == "memmap":
-            # out-of-core mode: map the volumes in place (uncompressed .npz
-            # only) instead of materializing them; compressed archives fall
-            # back to resident loading (the gathers themselves still run
-            # through memory-mapped spools under this mode)
-            try:
-                data = open_problem(args.input, mmap=True)
-            except ValueError as exc:
-                print(f"warning: {exc}; loading resident instead", file=sys.stderr)
-                data = load_problem(args.input)
-        else:
-            data = load_problem(args.input)
+        data = load_problem(args.input)
         return data["reference"], data["template"], data["grid"]
     if args.synthetic:
         problem = synthetic_registration_problem(
@@ -431,28 +381,6 @@ def _run_register(
                 f"  {tag}: {tag_stats.hits} hits, {tag_stats.misses} misses, "
                 f"{tag_stats.entries} entries, {tag_stats.current_bytes} bytes"
             )
-        if result.field_sources is not None:
-            sources = result.field_sources
-            print(
-                f"field sources: {sources.loads} tile loads "
-                f"({sources.planes_loaded} planes, {sources.bytes_loaded} bytes, "
-                f"peak tile {sources.peak_tile_bytes} bytes), "
-                f"tile cache {sources.tile_cache_hits} hits / "
-                f"{sources.tile_cache_misses} misses, "
-                f"prefetch {sources.prefetch_issued} issued / "
-                f"{sources.prefetch_hits} hits"
-            )
-        decisions = layout_decision_log()
-        if decisions.total:
-            counts = ", ".join(
-                f"{layout}: {count}" for layout, count in decisions.counts().items()
-            )
-            print(f"auto plan layout: {decisions.total} decisions ({counts})")
-            last = decisions.recent()[-1]
-            print(
-                f"  last: {last.layout} for {last.num_points} points "
-                f"({last.reason})"
-            )
         cache_decisions = gradient_cache_decision_log()
         if cache_decisions.total:
             counts = ", ".join(
@@ -495,13 +423,7 @@ def _load_population(args: argparse.Namespace):
                     f"{args.input} must contain 'reference' (N1,N2,N3) and "
                     "'subjects' (K,N1,N2,N3) arrays"
                 )
-            if default_field_source() != "memmap":
-                return np.asarray(data["reference"]), list(np.asarray(data["subjects"]))
-        # out-of-core mode: map both members in place — the K subject
-        # volumes are row views of one mapping, paged in as each job runs
-        reference = memmap_npz_member(args.input, "reference")
-        subjects = memmap_npz_member(args.input, "subjects")
-        return reference, [subjects[k] for k in range(subjects.shape[0])]
+            return np.asarray(data["reference"]), list(np.asarray(data["subjects"]))
     population = synthetic_population(
         args.synthetic,
         num_subjects=args.subjects,

@@ -37,7 +37,6 @@ from repro.core.regularization import make_regularization
 from repro.observability.trace import trace_span
 from repro.spectral.grid import Grid
 from repro.spectral.operators import SpectralOperators
-from repro.transport.kernels import default_plan_layout, resolve_plan_layout
 from repro.transport.solvers import TransportPlan, TransportSolver
 from repro.utils.validation import check_positive_int, check_velocity_shape
 
@@ -384,8 +383,4 @@ class RegistrationProblem:
             "interpolation": self.interpolation,
             "fft_backend": self.operators.fft.backend_name,
             "interp_backend": self.transport.interpolator.backend_name,
-            "plan_layout": default_plan_layout(),
-            "plan_layout_resolved": resolve_plan_layout(
-                self.grid.num_points, method=self.interpolation, record=False
-            ),
         }

@@ -34,7 +34,6 @@ from repro.observability.trace import trace_span
 from repro.runtime.plan_pool import PoolStats, get_plan_pool
 from repro.spectral.grid import Grid
 from repro.transport.deformation import DeformationMap
-from repro.transport.kernels import SourceStats, field_source_log
 from repro.utils.logging import get_logger
 
 LOGGER = get_logger("core.registration")
@@ -44,8 +43,10 @@ LOGGER = get_logger("core.registration")
 #: share this one schema; bump the version on any breaking field change.
 #: v2: adds the embedded ``observability`` snapshot block
 #: (``repro.observability-snapshot`` v1).
+#: v3: drops the ``field_sources`` block and the ``field_source_*`` summary
+#: keys; the embedded snapshot is ``repro.observability-snapshot`` v2.
 RESULT_SCHEMA = "repro.registration-result"
-RESULT_SCHEMA_VERSION = 2
+RESULT_SCHEMA_VERSION = 3
 
 _legacy_kwargs_warned = False
 
@@ -94,7 +95,6 @@ class RegistrationResult:
     det_grad_stats: Dict[str, float]
     elapsed_seconds: float
     plan_pool: Optional[PoolStats] = None
-    field_sources: Optional[SourceStats] = None
     problem: RegistrationProblem = field(repr=False, default=None)
 
     @property
@@ -137,12 +137,6 @@ class RegistrationResult:
             ),
             "plan_pool_hits": self.plan_pool.hits if self.plan_pool is not None else 0,
             "plan_pool_misses": self.plan_pool.misses if self.plan_pool is not None else 0,
-            "field_source_loads": (
-                self.field_sources.loads if self.field_sources is not None else 0
-            ),
-            "field_source_peak_tile_bytes": (
-                self.field_sources.peak_tile_bytes if self.field_sources is not None else 0
-            ),
         }
 
     def to_dict(self) -> Dict[str, object]:
@@ -168,11 +162,6 @@ class RegistrationResult:
             "det_grad": _jsonable(self.det_grad_stats),
             "plan_pool": (
                 _jsonable(self.plan_pool.as_dict()) if self.plan_pool is not None else None
-            ),
-            "field_sources": (
-                _jsonable(self.field_sources.as_dict())
-                if self.field_sources is not None
-                else None
             ),
             "observability": _jsonable(observability_snapshot()),
             "elapsed_seconds": float(self.elapsed_seconds),
@@ -220,8 +209,8 @@ class RegistrationSolver:
     config:
         Consolidated execution configuration
         (:class:`repro.config.RegistrationConfig`).  When provided it is
-        applied process-wide (plan layout, worker default, pool budget,
-        auto fraction) and supplies the FFT/interpolation engines unless
+        applied process-wide (worker default, pool budget, gradient cache,
+        tracing) and supplies the FFT/interpolation engines unless
         the explicit ``fft_backend``/``interp_backend`` arguments override
         them.
     """
@@ -304,7 +293,6 @@ class RegistrationSolver:
         """Register *template* to *reference* and collect the diagnostics."""
         start = time.perf_counter()
         pool_before = get_plan_pool().stats
-        sources_before = field_source_log().snapshot()
         with trace_span(
             "registration.solve",
             optimizer=self.optimizer,
@@ -358,7 +346,6 @@ class RegistrationSolver:
             det_grad_stats=det_stats,
             elapsed_seconds=elapsed,
             plan_pool=get_plan_pool().stats - pool_before,
-            field_sources=field_source_log().snapshot() - sources_before,
             problem=problem,
         )
 
@@ -384,7 +371,7 @@ def register(
     """Register *template* onto *reference* (functional convenience wrapper).
 
     See :class:`RegistrationSolver` for the meaning of every parameter.
-    Execution knobs (backends, plan layout, workers, pool budget) belong in
+    Execution knobs (backends, workers, pool budget) belong in
     *config* (:class:`repro.config.RegistrationConfig`); the bare
     ``fft_backend``/``interp_backend`` keywords are the legacy spelling and
     warn (once per process) when used.

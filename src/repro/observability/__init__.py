@@ -4,10 +4,10 @@ The paper's headline evidence is its per-kernel cost breakdown — FFT vs
 interpolation vs communication time per matvec and per Newton iteration
 (Tables I-IV) — and :mod:`repro.parallel.performance` *models* those costs
 analytically, but until this subsystem the running code could not *measure*
-them: timing, counter and traffic data were scattered across six ad-hoc
+them: timing, counter and traffic data were scattered across ad-hoc
 mechanisms (FFT counters, interpolation sweep counters, plan-pool
-statistics, the communication ledger, field-source traffic, the layout
-decision log) with no shared schema and no timing for solver phases.
+statistics, the communication ledger) with no shared schema and no timing
+for solver phases.
 
 Three pieces, deliberately layered so the hot kernels stay untouched when
 observability is off:
@@ -29,10 +29,9 @@ observability is off:
     their own APIs.
 
 :mod:`repro.observability.snapshot`
-    One versioned ``repro.observability-snapshot`` v1 document
+    One versioned ``repro.observability-snapshot`` v2 document
     (:func:`snapshot`) unifying all of it: the registry, plan-pool stats
-    (pool-wide and per tag), field-source traffic, layout decisions, and
-    the trace summary.  Embedded in ``RegistrationResult.to_dict()``,
+    (pool-wide and per tag) and the trace summary.  Embedded in ``RegistrationResult.to_dict()``,
     per-job service artifacts, and ``RegistrationService.service_stats()``.
 
 The tracing/metrics modules import only the standard library, so every

@@ -1,6 +1,6 @@
 """Process-wide metrics registry: counters, gauges, histograms, collectors.
 
-Two publication styles coexist so the six pre-existing stat mechanisms can
+Two publication styles coexist so the pre-existing stat mechanisms can
 feed one registry *without changing their own APIs*:
 
 **Push metrics** — hot frontends bind a labelled child once at import time
@@ -16,8 +16,8 @@ A bound child holds a plain float cell guarded by a lock; ``inc`` does no
 dict allocation, so the cost on kernel paths is one lock round-trip.
 
 **Pull collectors** — mechanisms that already keep their own state
-(``PlanPool.stats``, the field-source log, the layout decision log)
-register a zero-argument callable; :meth:`MetricsRegistry.collect`
+(``PlanPool.stats``, the gradient-cache decision log) register a
+zero-argument callable; :meth:`MetricsRegistry.collect`
 invokes it at snapshot time and merges the returned
 ``{metric_name: {label_key: value}}`` mapping.  The owning object keeps
 its API and its state; the registry only reads.

@@ -1,20 +1,17 @@
 """The versioned ``repro.observability-snapshot`` document.
 
 :func:`snapshot` unifies the process's observability state — the metrics
-registry, plan-pool statistics (pool-wide and per tag), field-source
-traffic, auto-layout decisions, and the tracing summary — into one
-JSON-safe document:
+registry, plan-pool statistics (pool-wide and per tag) and the tracing
+summary — into one JSON-safe document:
 
 .. code-block:: python
 
     {
         "schema": "repro.observability-snapshot",
-        "schema_version": 1,
+        "schema_version": 2,
         "metrics": {"fft.transforms": {"direction=forward": 42.0, ...}, ...},
         "plan_pool": {"hits": ..., "misses": ..., ...},
         "plan_pool_by_tag": {"scatter-plan": {...}, ...},
-        "field_sources": {"loads": ..., "planes_loaded": ..., ...},
-        "layout_decisions": {"total": ..., "counts": {"lean": ..., ...}},
         "trace": {"enabled": ..., "spans": ..., "span_counts": {...},
                   "span_durations_seconds": {...}},
     }
@@ -26,7 +23,8 @@ service artifacts, and ``RegistrationService.service_stats()``; the CI
 
 Schema evolution: additive fields bump ``SNAPSHOT_SCHEMA_VERSION`` only on
 breaking changes, mirroring the other versioned documents
-(``repro.registration-result``, ``repro.service-job``).
+(``repro.registration-result``, ``repro.service-job``).  v2 drops the
+``field_sources`` and ``layout_decisions`` blocks of v1.
 
 Unlike the stdlib-only :mod:`trace`/:mod:`metrics` leaves, this module
 reads the stat mechanisms across the codebase — imports happen lazily
@@ -46,19 +44,16 @@ __all__ = [
 ]
 
 SNAPSHOT_SCHEMA = "repro.observability-snapshot"
-SNAPSHOT_SCHEMA_VERSION = 1
+SNAPSHOT_SCHEMA_VERSION = 2
 
 
 def snapshot() -> Dict[str, Any]:
     """Collect the process-wide observability snapshot document."""
     from repro.observability.metrics import get_metrics_registry
     from repro.observability.trace import get_trace_recorder, tracing_enabled
-    from repro.runtime.layout import layout_decision_log
     from repro.runtime.plan_pool import get_plan_pool
-    from repro.transport.kernels import field_source_log
 
     pool = get_plan_pool()
-    layout_log = layout_decision_log()
     recorder = get_trace_recorder()
     return {
         "schema": SNAPSHOT_SCHEMA,
@@ -67,11 +62,6 @@ def snapshot() -> Dict[str, Any]:
         "plan_pool": pool.stats.as_dict(),
         "plan_pool_by_tag": {
             tag: stats.as_dict() for tag, stats in sorted(pool.stats_by_tag().items())
-        },
-        "field_sources": field_source_log().snapshot().as_dict(),
-        "layout_decisions": {
-            "total": layout_log.total,
-            "counts": layout_log.counts(),
         },
         "trace": {
             "enabled": tracing_enabled(),
@@ -103,14 +93,7 @@ def validate_snapshot(document: Any, *, path: str = "snapshot") -> None:
             f"schema_version must be {SNAPSHOT_SCHEMA_VERSION}, "
             f"got {document.get('schema_version')!r}"
         )
-    for key in (
-        "metrics",
-        "plan_pool",
-        "plan_pool_by_tag",
-        "field_sources",
-        "layout_decisions",
-        "trace",
-    ):
+    for key in ("metrics", "plan_pool", "plan_pool_by_tag", "trace"):
         if key not in document:
             fail(f"missing required block {key!r}")
         if not isinstance(document[key], dict):
@@ -119,15 +102,9 @@ def validate_snapshot(document: Any, *, path: str = "snapshot") -> None:
     for name, series in metrics.items():
         if not isinstance(series, dict):
             fail(f"metrics[{name!r}] must map label keys to values")
-    for block in ("plan_pool", "field_sources"):
-        for key, value in document[block].items():
-            if not isinstance(value, int):
-                fail(f"{block}[{key!r}] must be an integer, got {value!r}")
-    layout = document["layout_decisions"]
-    if not isinstance(layout.get("total"), int):
-        fail("layout_decisions.total must be an integer")
-    if not isinstance(layout.get("counts"), dict):
-        fail("layout_decisions.counts must be a dict")
+    for key, value in document["plan_pool"].items():
+        if not isinstance(value, int):
+            fail(f"plan_pool[{key!r}] must be an integer, got {value!r}")
     trace = document["trace"]
     if not isinstance(trace.get("enabled"), bool):
         fail("trace.enabled must be a boolean")

@@ -20,7 +20,7 @@ service without forking the numerics:
     fan-out executing jobs through the existing solver paths, sharing the
     process-wide plan pool across requests.
 :mod:`repro.service.artifacts`
-    Versioned per-job JSON artifacts (result report, pool/layout/ledger
+    Versioned per-job JSON artifacts (result report, pool/ledger
     metrics).
 :mod:`repro.service.journal`
     Durable, crash-safe job journal (versioned jobspec documents,

@@ -8,8 +8,8 @@ registration jobs it embeds the registration result's own versioned report
 ``"result"`` — one result schema shared by the CLI's verbose report and the
 service — and for every job kind it carries the job record (status,
 timestamps, batch size, error/traceback) plus the execution metrics the
-worker collected (plan-pool delta and hit rate, layout decisions,
-communication-ledger summary for distributed batches).
+worker collected (plan-pool delta and hit rate, communication-ledger
+summary for distributed batches).
 
 Writes are atomic (temp file + ``os.replace``), so a crash mid-write never
 leaves a torn document for a collector to trip over.

@@ -15,13 +15,13 @@ What the service adds over a loop of direct calls:
   pool; with the pool's single-flight builds, N concurrent jobs planning
   the same velocity perform one build and N-1 warm hits.
 * **Micro-batching.**  Compatible transport jobs (same grid, time step,
-  task layout, backend, stencil layout and velocity — see
+  task layout, backend and velocity — see
   :func:`~repro.service.batching.batch_key`) are claimed together and ride
   one ``solve_state_many`` stack: one ghost-exchange round and one return
   ``alltoallv`` per time step for the whole batch, results bitwise
   identical to solving each job alone.
 * **Observability.**  Every job records metrics (plan-pool delta, pool hit
-  rate, layout-decision counts, communication-ledger summary, timings) and
+  rate, communication-ledger summary, timings) and
   can be journaled to a per-job JSON artifact
   (:mod:`repro.service.artifacts`).
 * **Durability.**  With a journal directory
@@ -56,7 +56,6 @@ from repro.parallel.comm import SimulatedCommunicator
 from repro.parallel.pencil import PencilDecomposition
 from repro.parallel.transport import DistributedTransportSolver
 from repro.runtime.cancellation import CombinedCancelToken, SolveCancelled
-from repro.runtime.layout import layout_decision_log
 from repro.runtime.plan_pool import get_plan_pool
 from repro.runtime.workers import resolve_workers
 from repro.service.artifacts import write_job_artifact
@@ -135,10 +134,6 @@ class RegistrationService:
         if config is not None:
             config.apply()
         self.num_workers = resolve_workers("service", num_workers)
-        # Fail fast on a malformed REPRO_IO_WORKERS before any job runs:
-        # the out-of-core sources resolve it lazily on the first prefetch,
-        # which would otherwise surface as a per-job failure mid-run.
-        resolve_workers("io")
         self.max_batch = int(max_batch)
         self.artifacts_dir = Path(artifacts_dir) if artifacts_dir is not None else None
         if journal_dir is None:
@@ -318,7 +313,6 @@ class RegistrationService:
             "journal": self.journal.stats() if self.journal is not None else None,
             "plan_pool": pool.as_dict(),
             "plan_pool_hit_rate": _hit_rate(pool.hits, pool.misses),
-            "layout_decisions": layout_decision_log().counts(),
             "observability": observability_snapshot(),
         }
 
@@ -360,7 +354,6 @@ class RegistrationService:
         spec: RegistrationJobSpec = job.spec
         pool = get_plan_pool()
         pool_before = pool.stats
-        decisions_before = layout_decision_log().total
         # hand the job's cancel token to the Newton loop on a per-job copy:
         # the caller's options object is never mutated
         options = dataclasses.replace(
@@ -398,7 +391,6 @@ class RegistrationService:
             "result": result.to_dict(),
             "plan_pool_delta": delta.as_dict(),
             "plan_pool_hit_rate": _hit_rate(delta.hits, delta.misses),
-            "layout_decisions": layout_decision_log().total - decisions_before,
         }
         job._complete(result)
         self._finalize(job)
@@ -410,7 +402,6 @@ class RegistrationService:
         comm = SimulatedCommunicator(decomposition.num_tasks)
         pool = get_plan_pool()
         pool_before = pool.stats
-        decisions_before = layout_decision_log().total
         # a merged solve is only abandoned once EVERY rider cancelled;
         # individually cancelled riders are sorted out after the solve
         batch_token = CombinedCancelToken([job.cancel_token for job in batch])
@@ -448,7 +439,6 @@ class RegistrationService:
             "batch_size": len(batch),
             "plan_pool_delta": delta.as_dict(),
             "plan_pool_hit_rate": _hit_rate(delta.hits, delta.misses),
-            "layout_decisions": layout_decision_log().total - decisions_before,
             "communication": ledger,
             "ghost_exchange_calls": ledger.get("ghost_exchange", {}).get("calls", 0),
         }

@@ -6,7 +6,7 @@ and the off-grid tricubic interpolation of the semi-Lagrangian scheme
 Sec. III-C2/C4).  This module applies the architecture of
 :mod:`repro.spectral.backends` to that second kernel: a small registry of
 interchangeable gather engines behind one protocol, plus a precomputed
-**gather plan** that caches the 64-weight/index stencil of a fixed point set
+**gather plan** that plans the 64-weight/index stencil of a fixed point set
 so that every field interpolated at the same departure points (state,
 adjoint, both incremental equations, all time steps of one velocity) reuses
 it — the paper's "interpolation planner".
@@ -27,7 +27,7 @@ Backends
 ``"numba"``
     JIT-compiled stencil executor (auto-detected; cleanly reported as
     unavailable when :mod:`numba` is not installed — install the
-    ``[numba]`` extra).  Shares the plan layout and the prefilter with the
+    ``[numba]`` extra).  Shares the stencil plan and the prefilter with the
     ``numpy`` backend.
 
 Selection precedence (first match wins), mirroring the FFT registry:
@@ -43,49 +43,24 @@ Backends only gather; interpolation *counting* stays in
 guarantees exact counter parity across backends — the paper's ``4*nt``
 sweep verification is backend independent by construction.
 
-Since PR 3 the cached stencil defaults to the **memory-lean layout**
-(:class:`LeanStencilPlan`: int32 base indices + fractional offsets, 36
-bytes per point instead of 192) and the chunked executor is thread-pooled
-through the shared runtime (:mod:`repro.runtime.workers`,
-``REPRO_INTERP_WORKERS`` / ``REPRO_WORKERS``); both the layout and the
-worker count leave every gather bitwise unchanged.
-
-PR 4 adds the **streaming layout** (:class:`StreamingStencilPlan`,
-``REPRO_PLAN_LAYOUT=streaming``): no ``base``/``frac`` arrays are
-materialized at all — a generator backed only by the (borrowed) departure
-coordinates produces them one cache-sized chunk at a time, capping the
-resident stencil memory at one chunk regardless of the grid size.  All
-three layouts feed the executor through one uniform chunk protocol
-(:meth:`iter_chunks` + :meth:`chunk_stencil`) and gather bitwise
-identically, so out-of-core grids (>512^3 single node) only change the
-memory profile, never the numerics.
-
-PR 5 completes the out-of-core story for the *fields*: the executor can run
-in a **tiled** mode where the flattened field stack is never required
-resident — a :class:`FieldSource` (ndarray-backed today, memory-mapped for
-on-disk volumes later) serves axis-0 plane tiles per executor chunk, so the
-resident field bytes are bounded by the tile a chunk touches, not the grid
-size.  Tiled and resident gathers run the same tap-loop arithmetic on the
-same float64 values and are bitwise identical on every backend and layout.
-The stencil layout itself now also defaults to **budget-aware auto
-selection** (``REPRO_PLAN_LAYOUT=auto``, :mod:`repro.runtime.layout`):
-``auto`` projects the lean layout's bytes per plan and degrades to
-streaming when they exceed a fraction of the plan-pool budget; explicit
-layout values opt out.
+The cached stencil (:class:`StencilPlan`) stores nothing but a borrowed
+reference to the departure coordinates: the executor derives each chunk's
+base indices, fractional offsets, flat index parts and weights inside its
+cache-blocked loop, so the resident stencil memory is one chunk of scratch
+whatever the grid size.  The chunked executor is thread-pooled through the
+shared runtime (:mod:`repro.runtime.workers`, ``REPRO_INTERP_WORKERS`` /
+``REPRO_WORKERS``); neither the chunk size nor the worker count changes a
+bit of any gather.
 """
 
 from __future__ import annotations
 
-import itertools
 import os
-import threading
 from dataclasses import dataclass
-from dataclasses import replace as dataclass_replace
-from typing import Callable, Dict, Optional, Protocol, Tuple, Type, Union, runtime_checkable
+from typing import Callable, Dict, Optional, Protocol, Tuple, Type, runtime_checkable
 
 import numpy as np
 
-from repro.observability.metrics import get_metrics_registry
 from repro.observability.trace import trace_span
 from repro.runtime.workers import get_executor, resolve_workers
 from repro.spectral.backends import BackendUnavailableError
@@ -94,25 +69,6 @@ from repro.spectral.backends import BackendUnavailableError
 BACKEND_ENV_VAR = "REPRO_INTERP_BACKEND"
 
 DEFAULT_BACKEND = "scipy"
-
-#: Environment variable selecting the stencil-plan storage layout
-#: (``"auto"`` — the budget-aware default —, ``"lean"``, ``"fat"``, or the
-#: chunk-resident ``"streaming"``).
-PLAN_LAYOUT_ENV_VAR = "REPRO_PLAN_LAYOUT"
-
-#: The budget-aware layout policy (see :mod:`repro.runtime.layout`): pick
-#: ``streaming`` when the projected lean bytes of the plan about to be
-#: built exceed a fraction of the plan-pool budget, ``lean`` otherwise.
-AUTO_PLAN_LAYOUT = "auto"
-
-DEFAULT_PLAN_LAYOUT = AUTO_PLAN_LAYOUT
-
-#: Concrete stencil-plan storage layouts (see :func:`build_stencil_plan`).
-PLAN_LAYOUTS = ("lean", "fat", "streaming")
-
-#: Everything ``REPRO_PLAN_LAYOUT`` / ``--plan-layout`` accepts: a concrete
-#: layout, or ``auto`` for the budget-aware policy.
-PLAN_LAYOUT_CHOICES = (AUTO_PLAN_LAYOUT,) + PLAN_LAYOUTS
 
 #: Interpolation kernels every backend understands.
 SUPPORTED_METHODS = ("cubic_bspline", "catmull_rom", "linear")
@@ -219,9 +175,11 @@ def _derive_chunk_stencil(
 ):
     """Materialize flat index parts and axis weights from ``(3, m)`` base/frac.
 
-    This is *the* stencil arithmetic: the fat build, the lean per-chunk
-    rebuild and the streaming generator all run these exact operations, which
-    is what makes every layout gather bitwise identically.
+    ``index_parts[d]`` has shape ``(taps, m)`` and already holds the
+    *flattened* index contribution of axis ``d`` (wrapped index times the
+    axis stride), so the flat gather index of tap ``(a, b, c)`` is simply
+    ``index_parts[0][a] + index_parts[1][b] + index_parts[2][c]``;
+    ``weights[d]`` holds the matching per-axis kernel weights.
     """
     weight_fn, lead = _METHOD_STENCILS[method]
     strides = (shape[1] * shape[2], shape[2], 1)
@@ -239,120 +197,19 @@ def _derive_chunk_stencil(
 
 @dataclass
 class StencilPlan:
-    """Fully materialized ("fat") stencil: flat index parts + axis weights.
-
-    ``index_parts[d]`` has shape ``(taps, M)`` and already contains the
-    *flattened* index contribution of axis ``d`` (wrapped index times the
-    axis stride), so the flat gather index of tap ``(a, b, c)`` is simply
-    ``index_parts[0][a] + index_parts[1][b] + index_parts[2][c]``.
-    ``weights[d]`` holds the matching per-axis kernel weights.
-
-    At ``2 * taps`` stored values per axis (12 index parts + 12 weights)
-    this weighs 24 doubles per point for the tricubic kernels (~400 MB per
-    plan at 128^3); the memory-lean :class:`LeanStencilPlan` is the default
-    layout since PR 3.
-    """
-
-    method: str
-    taps: int
-    index_parts: Tuple[np.ndarray, np.ndarray, np.ndarray]
-    weights: Tuple[np.ndarray, np.ndarray, np.ndarray]
-
-    @property
-    def num_points(self) -> int:
-        return self.index_parts[0].shape[1]
-
-    @property
-    def nbytes(self) -> int:
-        """Exact array payload in bytes (plan-pool accounting)."""
-        return sum(part.nbytes for part in self.index_parts) + sum(
-            w.nbytes for w in self.weights
-        )
-
-    def iter_chunks(self, chunk: Optional[int] = None) -> Tuple[Tuple[int, int], ...]:
-        """The executor's chunk protocol: spans to feed :meth:`chunk_stencil`."""
-        return _chunk_spans(self.num_points, chunk or STENCIL_CHUNK)
-
-    def chunk_stencil(self, lo: int, hi: int):
-        """Index-part / weight views of the points ``[lo, hi)``."""
-        return (
-            tuple(part[:, lo:hi] for part in self.index_parts),
-            tuple(w[:, lo:hi] for w in self.weights),
-        )
-
-
-@dataclass
-class LeanStencilPlan:
-    """Memory-lean stencil: int32 base indices + float64 fractional offsets.
-
-    Stores only what the tensor-product stencil is *derived from* — the
-    per-axis base grid index (int32) and the fractional coordinate
-    (float64), 36 bytes per point instead of the 192 bytes of the
-    materialized :class:`StencilPlan` (a ~5x cut; ~75 MB instead of ~400 MB
-    at 128^3).  The executor re-derives each chunk's index parts and axis
-    weights inside its cache-blocked loop (:meth:`chunk_stencil`), applying
-    bit-for-bit the same arithmetic as the fat build, so lean and fat plans
-    produce bitwise-identical gathers; the per-chunk rebuild is ``O(3
-    taps)`` work per point against the ``O(taps^3)`` gather it feeds, and
-    its operands stay L1/L2-resident.
-    """
-
-    method: str
-    taps: int
-    shape: Tuple[int, int, int]
-    periodic: bool
-    base: np.ndarray
-    frac: np.ndarray
-
-    @property
-    def num_points(self) -> int:
-        return self.base.shape[1]
-
-    @property
-    def nbytes(self) -> int:
-        """Exact array payload in bytes (plan-pool accounting)."""
-        return self.base.nbytes + self.frac.nbytes
-
-    def iter_chunks(self, chunk: Optional[int] = None) -> Tuple[Tuple[int, int], ...]:
-        """The executor's chunk protocol: spans to feed :meth:`chunk_stencil`."""
-        return _chunk_spans(self.num_points, chunk or STENCIL_CHUNK)
-
-    def chunk_stencil(self, lo: int, hi: int):
-        """Materialize index parts and weights of the points ``[lo, hi)``.
-
-        Exactly the arithmetic of the fat build in
-        :func:`build_stencil_plan`, applied to one chunk.
-        """
-        return _derive_chunk_stencil(
-            self.method,
-            self.taps,
-            self.shape,
-            self.periodic,
-            self.base[:, lo:hi].astype(np.intp),
-            self.frac[:, lo:hi],
-        )
-
-
-@dataclass
-class StreamingStencilPlan:
-    """Chunk-resident stencil: ``base``/``frac`` are never materialized.
+    """Chunk-resident stencil of a fixed point set (the paper's planner).
 
     The plan stores nothing but a *borrowed* reference to the fractional
     departure coordinates (which the wrapping :class:`GatherPlan` or scatter
-    plan owns and accounts for anyway); a generator derives each chunk's
-    ``base``/``frac`` — and from them the index parts and weights — inside
-    the executor's cache-blocked loop.  Resident stencil memory is therefore
-    capped at **one chunk** regardless of the grid size, which is what makes
-    >512^3 single-node (out-of-core) runs feasible: a 512^3 lean plan weighs
-    ~4.8 GB, the streaming plan a few hundred kB of per-chunk scratch.
-
-    Deriving ``base = floor(c)`` and ``frac = c - base`` per chunk applies
-    bit-for-bit the arithmetic of the lean build, and the shared
-    :func:`_derive_chunk_stencil` does the rest, so streaming gathers are
-    bitwise identical to the lean and fat layouts (pinned by the property
-    suite across layouts, chunk sizes and worker counts).  Unlike the lean
-    layout it also needs no int32 range guard — indices are derived straight
-    into the native ``intp`` width.
+    plan owns and accounts for anyway).  The executor derives each chunk's
+    ``base = floor(c)`` and ``frac = c - base`` — and from them the index
+    parts and weights (:func:`_derive_chunk_stencil`) — inside its
+    cache-blocked loop.  Resident stencil memory is therefore capped at
+    **one chunk** regardless of the grid size, and indices are derived
+    straight into the native ``intp`` width, so no index range guard is
+    needed.  The per-chunk derivation is ``O(3 taps)`` work per point
+    against the ``O(taps^3)`` gather it feeds, and its operands stay
+    L1/L2-resident.
     """
 
     method: str
@@ -395,146 +252,13 @@ class StreamingStencilPlan:
         )
 
 
-#: Any stencil-plan layout; all execute through the same chunked loop.
-StencilPlanLike = Union[StencilPlan, LeanStencilPlan, StreamingStencilPlan]
-
-
-#: Process-wide layout override (the CLI's ``--plan-layout`` path); takes
-#: precedence over ``REPRO_PLAN_LAYOUT``, mirrors ``set_default_workers``.
-_process_plan_layout: Optional[str] = None
-
-
-def default_plan_layout() -> str:
-    """Active layout setting: process override, then ``REPRO_PLAN_LAYOUT``, then auto.
-
-    A malformed environment value is rejected here with the valid choices —
-    a typo must never silently fall through to some other layout (or, worse,
-    only surface deep inside a plan build).
-    """
-    if _process_plan_layout is not None:
-        return _process_plan_layout
-    raw = os.environ.get(PLAN_LAYOUT_ENV_VAR, DEFAULT_PLAN_LAYOUT)
-    layout = raw.strip().lower() or DEFAULT_PLAN_LAYOUT
-    if layout not in PLAN_LAYOUT_CHOICES:
-        raise ValueError(
-            f"{PLAN_LAYOUT_ENV_VAR}={raw!r} is not a valid stencil-plan layout; "
-            f"valid choices: {PLAN_LAYOUT_CHOICES}"
-        )
-    return layout
-
-
-def set_default_plan_layout(layout: Optional[str]) -> None:
-    """Set the process-wide default stencil-plan layout (the CLI path).
-
-    ``None`` clears a previous override (falling back to the environment /
-    built-in default — the same contract as
-    :func:`repro.runtime.workers.set_default_workers`); anything else must
-    be one of :data:`PLAN_LAYOUT_CHOICES` and becomes the default for every
-    subsequently built plan.  The environment is never mutated, so child
-    processes are unaffected.
-    """
-    global _process_plan_layout
-    if layout is None:
-        _process_plan_layout = None
-        return
-    layout = layout.strip().lower()
-    if layout not in PLAN_LAYOUT_CHOICES:
-        raise ValueError(
-            f"unknown stencil-plan layout {layout!r}; expected one of {PLAN_LAYOUT_CHOICES}"
-        )
-    _process_plan_layout = layout
-
-
-def _method_taps(method: str) -> int:
-    """Per-axis tap count of *method* (4 for the cubics, 2 for linear)."""
-    weight_fn, _ = _METHOD_STENCILS[method]
-    return len(weight_fn(np.zeros(1)))
-
-
-def projected_stencil_nbytes(num_points: int, method: str, layout: str) -> int:
-    """Projected payload bytes of a stencil plan *before* building it.
-
-    Exactly the ``nbytes`` the corresponding plan class will report — the
-    accounting the auto-layout policy (:mod:`repro.runtime.layout`) decides
-    from, and the pool-sizing numbers of the README's memory table.
-    """
-    if layout not in PLAN_LAYOUTS:
-        raise ValueError(
-            f"unknown stencil-plan layout {layout!r}; expected one of {PLAN_LAYOUTS}"
-        )
-    num_points = int(num_points)
-    if layout == "fat":
-        taps = _method_taps(method)
-        return (
-            3 * taps * (np.dtype(np.intp).itemsize + np.dtype(np.float64).itemsize) * num_points
-        )
-    if layout == "lean":
-        return 3 * (np.dtype(np.int32).itemsize + np.dtype(np.float64).itemsize) * num_points
-    m = min(num_points, STENCIL_CHUNK)
-    return 3 * m * (np.dtype(np.intp).itemsize + np.dtype(np.float64).itemsize)
-
-
-def resolve_plan_layout(
-    num_points: int,
-    layout: Optional[str] = None,
-    method: str = "catmull_rom",
-    record: bool = True,
-) -> str:
-    """Resolve a layout setting to a concrete storage layout for one plan.
-
-    Explicit concrete layouts pass through untouched; ``None`` reads the
-    active default; ``"auto"`` asks the budget-aware policy
-    (:func:`repro.runtime.layout.select_layout`) with this plan's projected
-    lean bytes against the shared plan pool's budget, and records the
-    decision in the process-wide decision log.
-    """
-    if layout is None:
-        layout = default_plan_layout()
-    if layout not in PLAN_LAYOUT_CHOICES:
-        raise ValueError(
-            f"unknown stencil-plan layout {layout!r}; expected one of {PLAN_LAYOUT_CHOICES}"
-        )
-    if layout != AUTO_PLAN_LAYOUT:
-        return layout
-    from repro.runtime.layout import select_layout
-    from repro.runtime.plan_pool import get_plan_pool
-
-    decision = select_layout(
-        num_points=num_points,
-        projected_lean_bytes=projected_stencil_nbytes(num_points, method, "lean"),
-        budget_bytes=get_plan_pool().max_bytes,
-        record=record,
-    )
-    return decision.layout
-
-
-def plan_layout_cache_token() -> "str | Tuple":
-    """Pool-key element identifying the active layout policy.
-
-    Concrete layout settings are their own token.  Under ``auto`` the token
-    carries the decision inputs (pool budget, threshold fraction) instead of
-    a single resolved layout: different plans of one run may legitimately
-    resolve differently (per-owner scatter stencils have different point
-    counts), and a pooled plan built under one budget must never satisfy a
-    lookup whose auto decision could differ.
-    """
-    layout = default_plan_layout()
-    if layout != AUTO_PLAN_LAYOUT:
-        return layout
-    from repro.runtime.layout import auto_streaming_fraction
-    from repro.runtime.plan_pool import get_plan_pool
-
-    return (AUTO_PLAN_LAYOUT, get_plan_pool().max_bytes, auto_streaming_fraction())
-
-
 def build_stencil_plan(
     shape: Tuple[int, int, int],
     coordinates: np.ndarray,
     method: str,
     periodic: bool = True,
-    layout: Optional[str] = None,
-) -> StencilPlanLike:
-    """Precompute the gather stencil for fractional index *coordinates*.
+) -> StencilPlan:
+    """Plan the gather stencil for fractional index *coordinates*.
 
     Parameters
     ----------
@@ -545,48 +269,17 @@ def build_stencil_plan(
         must lie in ``[0, N_d)`` per axis and the stencil wraps; with
         ``periodic=False`` the caller guarantees the full stencil lies inside
         the array (the ghosted blocks of :mod:`repro.parallel.scatter`).
+        Contiguous float64 coordinates are borrowed, not copied.
     method:
         One of :data:`SUPPORTED_METHODS`.
-    layout:
-        ``"lean"`` (int32 base + fractional offsets), ``"fat"``
-        (materialized index parts and weights), ``"streaming"``
-        (chunk-resident: nothing materialized, ``base``/``frac`` generated
-        per chunk from the coordinates), ``"auto"`` (budget-aware: lean
-        unless this plan's projected lean bytes exceed a fraction of the
-        plan-pool budget, see :mod:`repro.runtime.layout`), or ``None``
-        for the ``REPRO_PLAN_LAYOUT`` default (itself ``auto`` unless
-        overridden).  All layouts gather bitwise identically.
     """
-    coordinates = np.asarray(coordinates)
-    layout = resolve_plan_layout(coordinates.shape[1], layout, method)
-    weight_fn, lead = _METHOD_STENCILS[method]
-    taps = len(weight_fn(np.zeros(1)))
-    shape = tuple(int(n) for n in shape)
-    if layout == "streaming":
-        return StreamingStencilPlan(
-            method=method,
-            taps=taps,
-            shape=shape,
-            periodic=periodic,
-            coordinates=np.ascontiguousarray(coordinates, dtype=np.float64),
-        )
-    base = np.floor(coordinates).astype(np.intp)
-    frac = coordinates - base
-    if layout == "lean" and max(shape) <= np.iinfo(np.int32).max:
-        return LeanStencilPlan(
-            method=method,
-            taps=taps,
-            shape=shape,
-            periodic=periodic,
-            base=base.astype(np.int32),
-            frac=np.ascontiguousarray(frac),
-        )
-    index_parts, weights = _derive_chunk_stencil(method, taps, shape, periodic, base, frac)
+    weight_fn, _ = _METHOD_STENCILS[method]
     return StencilPlan(
         method=method,
-        taps=taps,
-        index_parts=index_parts,
-        weights=weights,
+        taps=len(weight_fn(np.zeros(1))),
+        shape=tuple(int(n) for n in shape),
+        periodic=periodic,
+        coordinates=np.ascontiguousarray(coordinates, dtype=np.float64),
     )
 
 
@@ -599,313 +292,8 @@ def _as_flat_float64(fields: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(fields.reshape(fields.shape[0], -1), dtype=np.float64)
 
 
-# --------------------------------------------------------------------------- #
-# field sources (the tiled/out-of-core side of a gather)
-# --------------------------------------------------------------------------- #
-@runtime_checkable
-class FieldSource(Protocol):
-    """Tile provider for out-of-core gathers (the field-side chunk protocol).
-
-    A field source serves the *field bytes* of a gather the way the stencil
-    plans serve the stencil bytes: on demand, one executor chunk at a time.
-    The unit of loading is an **axis-0 plane tile** — the set of
-    ``(N2, N3)`` planes one chunk's stencil touches — because grid-ordered
-    departure points (the semi-Lagrangian access pattern) keep consecutive
-    chunks inside a narrow plane band, so the resident field bytes are
-    bounded by the tile a chunk needs, never the grid size.
-
-    Implementations: :class:`ArrayFieldSource` wraps an in-memory stack
-    (the executor then only ever *copies* a tile-sized view at a time); a
-    memory-mapped source for on-disk >512^3 volumes plugs in through the
-    same three members without touching the executor.
-    """
-
-    @property
-    def shape(self) -> Tuple[int, int, int]:
-        """Shape of the (possibly ghost-extended) array being gathered from."""
-        ...
-
-    @property
-    def num_fields(self) -> int:
-        """Batch size ``B`` of the stacked fields this source serves."""
-        ...
-
-    def load_planes(self, planes: np.ndarray) -> np.ndarray:
-        """Materialize the axis-0 planes *planes* as a ``(B, P, N2, N3)`` tile.
-
-        ``planes`` is sorted and unique; the returned tile must be float64
-        (matching the resident executor's upcast) and contiguous.
-        """
-        ...
-
-    def load_all(self) -> np.ndarray:
-        """Materialize the whole ``(B, N1, N2, N3)`` stack (fallback paths).
-
-        Engines that cannot gather from tiles (``map_coordinates``, the
-        global B-spline prefilter) fall back to this; tiled executions never
-        call it.
-        """
-        ...
-
-
-@dataclass(frozen=True)
-class SourceStats:
-    """Snapshot of field-source traffic (supports ``-`` for per-run deltas).
-
-    ``loads``/``planes_loaded``/``bytes_loaded`` count tile materializations
-    by the *leaf* sources (array, memmap, HDF5, spooled) — the traffic that
-    would hit the disk for an out-of-core source.  The cache/prefetch
-    counters are contributed by the wrapper sources of
-    :mod:`repro.transport.sources`.  ``peak_tile_bytes`` is a gauge (the
-    largest single tile seen), so — like the plan pool's gauges — it is not
-    differenced by subtraction.
-    """
-
-    loads: int = 0
-    planes_loaded: int = 0
-    bytes_loaded: int = 0
-    peak_tile_bytes: int = 0
-    tile_cache_hits: int = 0
-    tile_cache_misses: int = 0
-    prefetch_issued: int = 0
-    prefetch_hits: int = 0
-    prefetch_misses: int = 0
-
-    def __sub__(self, other: "SourceStats") -> "SourceStats":
-        return SourceStats(
-            loads=self.loads - other.loads,
-            planes_loaded=self.planes_loaded - other.planes_loaded,
-            bytes_loaded=self.bytes_loaded - other.bytes_loaded,
-            peak_tile_bytes=self.peak_tile_bytes,
-            tile_cache_hits=self.tile_cache_hits - other.tile_cache_hits,
-            tile_cache_misses=self.tile_cache_misses - other.tile_cache_misses,
-            prefetch_issued=self.prefetch_issued - other.prefetch_issued,
-            prefetch_hits=self.prefetch_hits - other.prefetch_hits,
-            prefetch_misses=self.prefetch_misses - other.prefetch_misses,
-        )
-
-    def as_dict(self) -> Dict[str, int]:
-        return {
-            "loads": self.loads,
-            "planes_loaded": self.planes_loaded,
-            "bytes_loaded": self.bytes_loaded,
-            "peak_tile_bytes": self.peak_tile_bytes,
-            "tile_cache_hits": self.tile_cache_hits,
-            "tile_cache_misses": self.tile_cache_misses,
-            "prefetch_issued": self.prefetch_issued,
-            "prefetch_hits": self.prefetch_hits,
-            "prefetch_misses": self.prefetch_misses,
-        }
-
-
-class FieldSourceLog:
-    """Process-wide aggregator of field-source traffic.
-
-    Every :class:`FieldSourceBase` source reports its tile loads here (and
-    the cache/prefetch wrappers their hit/miss counters), so per-run source
-    statistics can be surfaced — in :class:`~repro.core.registration.
-    RegistrationResult`, the verbose CLI report and the service artifacts —
-    without plumbing source objects through the solver stack.  The same
-    pattern as :class:`repro.runtime.layout.LayoutDecisionLog`; snapshot
-    deltas (``log.snapshot() - before``) give per-run numbers.
-    """
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._stats = SourceStats()
-
-    def record_load(self, num_planes: int, nbytes: int) -> None:
-        with self._lock:
-            s = self._stats
-            self._stats = dataclass_replace(
-                s,
-                loads=s.loads + 1,
-                planes_loaded=s.planes_loaded + int(num_planes),
-                bytes_loaded=s.bytes_loaded + int(nbytes),
-                peak_tile_bytes=max(s.peak_tile_bytes, int(nbytes)),
-            )
-
-    def record_cache(self, hit: bool) -> None:
-        with self._lock:
-            s = self._stats
-            if hit:
-                self._stats = dataclass_replace(s, tile_cache_hits=s.tile_cache_hits + 1)
-            else:
-                self._stats = dataclass_replace(s, tile_cache_misses=s.tile_cache_misses + 1)
-
-    def record_prefetch(self, issued: int = 0, hits: int = 0, misses: int = 0) -> None:
-        with self._lock:
-            s = self._stats
-            self._stats = dataclass_replace(
-                s,
-                prefetch_issued=s.prefetch_issued + int(issued),
-                prefetch_hits=s.prefetch_hits + int(hits),
-                prefetch_misses=s.prefetch_misses + int(misses),
-            )
-
-    def snapshot(self) -> SourceStats:
-        with self._lock:
-            return self._stats
-
-    @property
-    def total_loads(self) -> int:
-        with self._lock:
-            return self._stats.loads
-
-    def reset(self) -> None:
-        with self._lock:
-            self._stats = SourceStats()
-
-
-_field_source_log = FieldSourceLog()
-
-
-def field_source_log() -> FieldSourceLog:
-    """The process-wide field-source traffic log."""
-    return _field_source_log
-
-
-def _collect_field_source_metrics() -> Dict[str, Dict[str, int]]:
-    """Pull collector publishing the field-source log into the registry."""
-    stats = _field_source_log.snapshot().as_dict()
-    return {f"field_source.{key}": {"": value} for key, value in stats.items()}
-
-
-get_metrics_registry().register_collector(
-    "field_sources", _collect_field_source_metrics
-)
-
-
-#: Monotonic identity tokens for in-memory sources.  Deliberately not
-#: ``id()``: object ids are reused after garbage collection, and a reused id
-#: inside a tile-cache key would serve another array's stale tiles.
-_SOURCE_TOKENS = itertools.count(1)
-
-
-class FieldSourceBase:
-    """Shared accounting base of the concrete :class:`FieldSource` classes.
-
-    Owns the traffic counters every source reports (``loads``,
-    ``planes_loaded``, ``bytes_loaded``, ``peak_tile_bytes``), their
-    thread-safe recording (the threaded executor loads tiles concurrently),
-    :meth:`reset_stats`, and the :attr:`fingerprint` identity that keys this
-    source's tiles in the pool-budgeted tile cache.  In-memory sources get a
-    process-unique monotonic token; file-backed sources override
-    :attr:`fingerprint` with ``(path, mtime, size)`` content identity so
-    that re-opening the same file warms the same cache entries.
-    """
-
-    def __init__(self) -> None:
-        self._stats_lock = threading.Lock()
-        self._memory_token = next(_SOURCE_TOKENS)
-        self.loads = 0
-        self.planes_loaded = 0
-        self.bytes_loaded = 0
-        self.peak_tile_bytes = 0
-
-    @property
-    def fingerprint(self) -> Tuple:
-        """Identity of this source's tiles in the shared tile cache."""
-        return ("memory", self._memory_token)
-
-    def reset_stats(self) -> None:
-        """Zero the traffic counters (the per-run measurement idiom)."""
-        with self._stats_lock:
-            self.loads = 0
-            self.planes_loaded = 0
-            self.bytes_loaded = 0
-            self.peak_tile_bytes = 0
-
-    def stats(self) -> Dict[str, int]:
-        """Current counters as a plain dictionary (JSON-ready)."""
-        with self._stats_lock:
-            return {
-                "loads": self.loads,
-                "planes_loaded": self.planes_loaded,
-                "bytes_loaded": self.bytes_loaded,
-                "peak_tile_bytes": self.peak_tile_bytes,
-            }
-
-    def _record_load(self, num_planes: int, nbytes: int) -> None:
-        with self._stats_lock:
-            self.loads += 1
-            self.planes_loaded += int(num_planes)
-            self.bytes_loaded += int(nbytes)
-            if nbytes > self.peak_tile_bytes:
-                self.peak_tile_bytes = int(nbytes)
-        _field_source_log.record_load(num_planes, nbytes)
-
-
-class ArrayFieldSource(FieldSourceBase):
-    """ndarray-backed :class:`FieldSource` with tile accounting.
-
-    Wraps a ``(B, N1, N2, N3)`` stack (a single ``(N1, N2, N3)`` field is
-    promoted to a one-field batch) and serves plane tiles as float64 copies
-    — exactly the values the resident executor's upcast produces, which is
-    what keeps tiled gathers bitwise identical to resident ones.
-
-    The source counts its traffic (``loads``, ``planes_loaded``,
-    ``bytes_loaded``, ``peak_tile_bytes``): for an in-memory array the
-    backing stack is of course resident anyway, but ``peak_tile_bytes`` is
-    precisely the working set a memory-mapped source would keep in RAM, so
-    the out-of-core memory pins assert on it.  :meth:`reset_stats` zeroes
-    the counters between measurements.
-    """
-
-    def __init__(self, fields: np.ndarray) -> None:
-        super().__init__()
-        fields = np.asarray(fields)
-        if fields.ndim == 3:
-            fields = fields[None]
-        if fields.ndim != 4:
-            raise ValueError(
-                f"fields must be stacked as (B, N1, N2, N3) or a single "
-                f"(N1, N2, N3) field, got shape {fields.shape}"
-            )
-        self._fields = fields
-
-    @property
-    def shape(self) -> Tuple[int, int, int]:
-        return self._fields.shape[1:]
-
-    @property
-    def num_fields(self) -> int:
-        return self._fields.shape[0]
-
-    def load_planes(self, planes: np.ndarray) -> np.ndarray:
-        tile = np.ascontiguousarray(self._fields[:, planes], dtype=np.float64)
-        self._record_load(len(planes), tile.nbytes)
-        return tile
-
-    def load_all(self) -> np.ndarray:
-        return np.ascontiguousarray(self._fields, dtype=np.float64)
-
-
-def is_field_source(fields) -> bool:
-    """True when *fields* implements :class:`FieldSource` (tiled dispatch).
-
-    The single source of truth for the tiled/resident dispatch rule used by
-    the executor and every frontend: an ndarray (whose ``shape`` attribute
-    would satisfy a naive protocol check) is always the resident path.
-    """
-    return isinstance(fields, FieldSource) and not isinstance(fields, np.ndarray)
-
-
-def as_field_source(fields: "np.ndarray | FieldSource") -> FieldSource:
-    """Wrap an ndarray stack in an :class:`ArrayFieldSource` (sources pass through)."""
-    if is_field_source(fields):
-        return fields
-    return ArrayFieldSource(fields)
-
-
 def _run_tap_loop(flat_fields, index_parts, weights, taps: int, acc: np.ndarray) -> None:
-    """The tap loop of one point chunk, accumulating into ``acc``.
-
-    This is *the* gather arithmetic: the resident and the tiled executor
-    both run exactly this sequence of operations (tiling only remaps the
-    axis-0 index parts into tile coordinates before calling it), which is
-    what makes tiled gathers bitwise identical to resident ones.
-    """
+    """The tap loop of one point chunk, accumulating into ``acc``."""
     i0, i1, i2 = index_parts
     w0, w1, w2 = weights
     num_fields = flat_fields.shape[0]
@@ -932,7 +320,7 @@ def _run_tap_loop(flat_fields, index_parts, weights, taps: int, acc: np.ndarray)
 
 
 def _execute_stencil_chunk(
-    flat_fields: np.ndarray, plan: StencilPlanLike, lo: int, hi: int, out: np.ndarray
+    flat_fields: np.ndarray, plan: StencilPlan, lo: int, hi: int, out: np.ndarray
 ) -> None:
     """Run the tap loop of one point chunk, accumulating into ``out[:, lo:hi]``.
 
@@ -944,118 +332,28 @@ def _execute_stencil_chunk(
     _run_tap_loop(flat_fields, index_parts, weights, plan.taps, out[:, lo:hi])
 
 
-def _chunk_planes(i0: np.ndarray, stride0: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Plane ids and their sorted-unique set for one chunk's axis-0 parts.
-
-    The single source of truth for "which planes does this chunk touch":
-    :func:`_load_chunk_tile` loads exactly these planes, and
-    :func:`chunk_plane_schedule` precomputes them per chunk for the
-    prefetcher — the two must agree bit for bit or a prefetched tile would
-    never match the executor's request.
-    """
-    plane_ids = np.asarray(i0) // stride0
-    return plane_ids, np.unique(plane_ids)
-
-
-def chunk_plane_schedule(
-    shape: Tuple[int, int, int], plan: StencilPlanLike, chunk: Optional[int] = None
-) -> Tuple[Tuple[Tuple[int, int], Tuple[int, ...]], ...]:
-    """The tiled executor's plane requests, computed ahead of execution.
-
-    Returns one ``((lo, hi), planes)`` entry per executor chunk, where
-    ``planes`` is exactly the (sorted, unique) axis-0 plane tuple
-    :func:`_load_chunk_tile` will pass to ``source.load_planes`` for that
-    chunk — the stencil plan fully determines the access pattern, so the
-    whole tile schedule is known before the first gather.  This is what the
-    overlapped prefetcher (:class:`repro.transport.sources.
-    PrefetchingFieldSource`) keys its lookahead on.
-    """
-    stride0 = int(shape[1]) * int(shape[2])
-    schedule = []
-    for lo, hi in plan.iter_chunks(chunk):
-        (i0, _, _), _ = plan.chunk_stencil(lo, hi)
-        _, planes = _chunk_planes(i0, stride0)
-        schedule.append(((lo, hi), tuple(int(p) for p in planes)))
-    return tuple(schedule)
-
-
-def _load_chunk_tile(source: FieldSource, plan: StencilPlanLike, lo: int, hi: int):
-    """Load one chunk's plane tile and remap its stencil into tile coordinates.
-
-    The axis-0 index parts already carry the flattened contribution
-    ``plane * N2 * N3``; the planes a chunk touches are their unique
-    quotients (:func:`_chunk_planes`), the tile is those planes loaded from
-    the source, and the remap replaces each plane id by its position in the
-    tile (the tile's inner strides equal the field's, so axes 1/2 need no
-    remapping).  The weights and the gathered float64 values are untouched,
-    so the tap loop runs bit-for-bit the resident arithmetic.
-    """
-    (i0, i1, i2), weights = plan.chunk_stencil(lo, hi)
-    stride0 = source.shape[1] * source.shape[2]
-    plane_ids, planes = _chunk_planes(i0, stride0)
-    tile = source.load_planes(planes)
-    flat_tile = tile.reshape(tile.shape[0], -1)
-    i0_tile = np.searchsorted(planes, plane_ids) * stride0
-    return flat_tile, (i0_tile, i1, i2), weights
-
-
-def _execute_tiled_chunk(
-    source: FieldSource, plan: StencilPlanLike, lo: int, hi: int, out: np.ndarray
-) -> None:
-    """Tiled twin of :func:`_execute_stencil_chunk`: load the tile, then gather."""
-    flat_tile, index_parts, weights = _load_chunk_tile(source, plan, lo, hi)
-    _run_tap_loop(flat_tile, index_parts, weights, plan.taps, out[:, lo:hi])
-
-
 def execute_stencil_plan(
-    flat_fields: "np.ndarray | FieldSource",
-    plan: StencilPlanLike,
+    flat_fields: np.ndarray,
+    plan: StencilPlan,
     chunk: Optional[int] = None,
     workers: Optional[int] = None,
 ) -> np.ndarray:
     """Gather a ``(B, num_grid_points)`` stack through a stencil plan.
 
-    Cache-blocked over point chunks: all scratch arrays of one chunk stay in
-    cache while the tap loop runs, so each batched gather streams the plan
-    arrays exactly once and reads the field with the locality of the
+    Cache-blocked over point chunks: ``plan.iter_chunks(chunk)`` yields the
+    spans and ``plan.chunk_stencil(lo, hi)`` derives that chunk's index
+    parts and weights, so all scratch arrays of one chunk stay in cache
+    while the tap loop runs and the field is read with the locality of the
     (grid-ordered) departure points.  One index computation serves every
     field of the batch — the batching win of ``interpolate_many``.
-
-    Every plan layout feeds this loop through the same chunk protocol —
-    ``plan.iter_chunks(chunk)`` yields the spans, ``plan.chunk_stencil(lo,
-    hi)`` hands back that chunk's index parts and weights: fat plans return
-    views, lean plans re-derive from their stored ``base``/``frac``, and
-    streaming plans generate ``base``/``frac`` on the fly from the departure
-    coordinates.  All three run the fat build's exact arithmetic, so every
-    layout gathers bitwise identically.
-
-    Passing a :class:`FieldSource` instead of a flattened stack runs the
-    executor in **tiled** mode: the field is never required resident — each
-    chunk loads only the axis-0 plane tile its stencil touches
-    (:func:`_load_chunk_tile`) and gathers from it with remapped indices.
-    Resident field bytes are then bounded by the tile/chunk sizes instead
-    of the grid size (the out-of-core story for the fields, matching what
-    the streaming layout does for the stencils), and the gathered bits are
-    identical to the resident path on every layout.
 
     The chunks are embarrassingly parallel (disjoint output slices) and are
     dispatched to the shared runtime thread pool when *workers* — resolved
     through :func:`repro.runtime.workers.resolve_workers` under the
     ``REPRO_INTERP_WORKERS`` / ``REPRO_WORKERS`` policy — exceeds one.  The
-    result is bitwise independent of the worker count, the chunk size and
-    the tiled/resident mode.
+    result is bitwise independent of the worker count and the chunk size.
     """
-    tiled = is_field_source(flat_fields)
-    if tiled:
-        # disk-backed sources gather through the out-of-core pipeline
-        # (overlapped prefetch + pool-budgeted tile cache); resident and
-        # already-wrapped sources pass through untouched.  Imported lazily:
-        # sources.py builds on this module.
-        from repro.transport.sources import plan_scoped_source
-
-        flat_fields = plan_scoped_source(flat_fields, plan, chunk)
-    num_fields = flat_fields.num_fields if tiled else flat_fields.shape[0]
-    run_chunk = _execute_tiled_chunk if tiled else _execute_stencil_chunk
+    num_fields = flat_fields.shape[0]
     out = np.zeros((num_fields, plan.num_points))
     spans = plan.iter_chunks(chunk)
     if workers is None:
@@ -1068,19 +366,20 @@ def execute_stencil_plan(
         fields=num_fields,
         chunks=len(spans),
         workers=workers,
-        tiled=tiled,
     ):
         if workers > 1 and len(spans) > 1:
             executor = get_executor(workers)
             list(
                 executor.map(
-                    lambda span: run_chunk(flat_fields, plan, span[0], span[1], out),
+                    lambda span: _execute_stencil_chunk(
+                        flat_fields, plan, span[0], span[1], out
+                    ),
                     spans,
                 )
             )
         else:
             for lo, hi in spans:
-                run_chunk(flat_fields, plan, lo, hi, out)
+                _execute_stencil_chunk(flat_fields, plan, lo, hi, out)
     return out
 
 
@@ -1103,7 +402,7 @@ class GatherPlan:
     grid_shape: Tuple[int, int, int]
     output_shape: Tuple[int, ...]
     coordinates: np.ndarray
-    payload: Optional[StencilPlanLike]
+    payload: Optional[StencilPlan]
 
     @property
     def num_points(self) -> int:
@@ -1111,22 +410,19 @@ class GatherPlan:
 
     @property
     def is_cached(self) -> bool:
-        """True when the stencil (indices + weights) is precomputed."""
+        """True when the backend planned a stencil for these points."""
         return self.payload is not None
 
     @property
     def nbytes(self) -> int:
         """Exact array payload in bytes (plan-pool accounting).
 
-        A streaming payload normally borrows this plan's own coordinate
+        The stencil payload normally borrows this plan's own coordinate
         buffer (zero copy); if a build ever had to copy (non-contiguous or
         non-float64 input), the copy is accounted here too.
         """
         payload_bytes = self.payload.nbytes if self.payload is not None else 0
-        if (
-            isinstance(self.payload, StreamingStencilPlan)
-            and self.payload.coordinates is not self.coordinates
-        ):
+        if self.payload is not None and self.payload.coordinates is not self.coordinates:
             payload_bytes += self.payload.coordinates.nbytes
         return self.coordinates.nbytes + payload_bytes
 
@@ -1151,7 +447,7 @@ class InterpolationBackend(Protocol):
 
     def build_plan(
         self, grid_shape: Tuple[int, int, int], coordinates: np.ndarray, method: str
-    ) -> Optional[StencilPlanLike]:
+    ) -> Optional[StencilPlan]:
         """Precompute the reusable stencil payload (or ``None``)."""
         ...
 
@@ -1159,7 +455,7 @@ class InterpolationBackend(Protocol):
         self,
         fields: np.ndarray,
         coordinates: np.ndarray,
-        payload: Optional[StencilPlanLike],
+        payload: Optional[StencilPlan],
         method: str,
     ) -> np.ndarray:
         """Interpolate a ``(B, N1, N2, N3)`` stack; returns ``(B, M)``."""
@@ -1201,29 +497,21 @@ class ScipyInterpolationBackend:
 
     def build_plan(
         self, grid_shape: Tuple[int, int, int], coordinates: np.ndarray, method: str
-    ) -> Optional[StencilPlanLike]:
+    ) -> Optional[StencilPlan]:
         if method == "catmull_rom":
             return build_stencil_plan(grid_shape, coordinates, method)
         return None
 
     def gather(
         self,
-        fields: "np.ndarray | FieldSource",
+        fields: np.ndarray,
         coordinates: np.ndarray,
-        payload: Optional[StencilPlanLike],
+        payload: Optional[StencilPlan],
         method: str,
     ) -> np.ndarray:
         if method == "catmull_rom":
-            if isinstance(fields, np.ndarray):
-                plan = payload or build_stencil_plan(fields.shape[-3:], coordinates, method)
-                return execute_stencil_plan(_as_flat_float64(fields), plan)
-            # tiled mode: gather straight from the source's plane tiles
-            plan = payload or build_stencil_plan(fields.shape, coordinates, method)
-            return execute_stencil_plan(fields, plan)
-        if not isinstance(fields, np.ndarray):
-            # map_coordinates evaluates prefilter + weights inside one C
-            # call and cannot gather from tiles; materialize the stack
-            fields = fields.load_all()
+            plan = payload or build_stencil_plan(fields.shape[-3:], coordinates, method)
+            return execute_stencil_plan(_as_flat_float64(fields), plan)
         order = self._ORDERS[method]
         return np.stack(
             [
@@ -1256,7 +544,7 @@ class NumpyInterpolationBackend:
 
     def build_plan(
         self, grid_shape: Tuple[int, int, int], coordinates: np.ndarray, method: str
-    ) -> Optional[StencilPlanLike]:
+    ) -> Optional[StencilPlan]:
         return build_stencil_plan(grid_shape, coordinates, method)
 
     def _prepare(self, fields: np.ndarray, method: str) -> np.ndarray:
@@ -1264,39 +552,21 @@ class NumpyInterpolationBackend:
             fields = periodic_bspline_prefilter(fields)
         return _as_flat_float64(fields)
 
-    def _prepare_source(self, fields: "np.ndarray | FieldSource", method: str):
-        """Executor input for *fields*: flat stack (resident) or source (tiled).
-
-        ``cubic_bspline`` gathers from *prefiltered coefficients*, and the
-        prefilter is a global Fourier solve — the coefficient stack must be
-        materialized once per batch regardless of tiling (the per-field cost
-        no plan can avoid).  The gather itself still runs tiled over the
-        coefficient source, so the executor-side working set stays
-        tile-bounded; fully out-of-core transport uses ``catmull_rom``
-        (the paper's distributed kernel), which needs no prefilter.
-        """
-        if isinstance(fields, np.ndarray):
-            return self._prepare(fields, method)
-        if method == "cubic_bspline":
-            return ArrayFieldSource(periodic_bspline_prefilter(fields.load_all()))
-        return fields
-
     def gather(
         self,
-        fields: "np.ndarray | FieldSource",
+        fields: np.ndarray,
         coordinates: np.ndarray,
-        payload: Optional[StencilPlanLike],
+        payload: Optional[StencilPlan],
         method: str,
     ) -> np.ndarray:
-        shape = fields.shape[-3:] if isinstance(fields, np.ndarray) else fields.shape
-        plan = payload or build_stencil_plan(shape, coordinates, method)
-        return execute_stencil_plan(self._prepare_source(fields, method), plan)
+        plan = payload or build_stencil_plan(fields.shape[-3:], coordinates, method)
+        return execute_stencil_plan(self._prepare(fields, method), plan)
 
 
 class NumbaInterpolationBackend(NumpyInterpolationBackend):
     """JIT-compiled stencil executor (auto-detected ``numba`` engine).
 
-    Shares the plan layout and the B-spline prefilter with the ``numpy``
+    Shares the stencil plan and the B-spline prefilter with the ``numpy``
     backend; only the tap loop is replaced by a compiled per-point kernel,
     which removes the remaining array-temporary traffic entirely.
     """
@@ -1339,41 +609,19 @@ class NumbaInterpolationBackend(NumpyInterpolationBackend):
 
     def gather(
         self,
-        fields: "np.ndarray | FieldSource",
+        fields: np.ndarray,
         coordinates: np.ndarray,
-        payload: Optional[StencilPlanLike],
+        payload: Optional[StencilPlan],
         method: str,
     ) -> np.ndarray:
-        shape = fields.shape[-3:] if isinstance(fields, np.ndarray) else fields.shape
-        plan = payload or build_stencil_plan(shape, coordinates, method)
-        prepared = self._prepare_source(fields, method)
-        if not isinstance(prepared, np.ndarray):
-            # tiled mode: per chunk, load the plane tile and hand the
-            # remapped stencil to the JIT kernel (disjoint output slices);
-            # the per-point tap arithmetic is identical to the resident
-            # path, so tiled numba gathers are bitwise unchanged too
-            from repro.transport.sources import plan_scoped_source
-
-            prepared = plan_scoped_source(prepared, plan)
-            out = np.zeros((prepared.num_fields, plan.num_points))
-            for lo, hi in plan.iter_chunks():
-                flat_tile, (i0, i1, i2), (w0, w1, w2) = _load_chunk_tile(
-                    prepared, plan, lo, hi
-                )
-                self._kernel(flat_tile, i0, i1, i2, w0, w1, w2, out[:, lo:hi])
-            return out
-        flat = prepared
+        plan = payload or build_stencil_plan(fields.shape[-3:], coordinates, method)
+        flat = self._prepare(fields, method)
         out = np.zeros((flat.shape[0], plan.num_points))
-        if isinstance(plan, StencilPlan):
-            i0, i1, i2 = plan.index_parts
-            w0, w1, w2 = plan.weights
-            self._kernel(flat, i0, i1, i2, w0, w1, w2, out)
-        else:
-            # lean/streaming path: materialize one cache-sized chunk at a
-            # time and hand it to the JIT kernel (disjoint output slices)
-            for lo, hi in plan.iter_chunks():
-                (i0, i1, i2), (w0, w1, w2) = plan.chunk_stencil(lo, hi)
-                self._kernel(flat, i0, i1, i2, w0, w1, w2, out[:, lo:hi])
+        # materialize one cache-sized chunk at a time and hand it to the
+        # JIT kernel (disjoint output slices)
+        for lo, hi in plan.iter_chunks():
+            (i0, i1, i2), (w0, w1, w2) = plan.chunk_stencil(lo, hi)
+            self._kernel(flat, i0, i1, i2, w0, w1, w2, out[:, lo:hi])
         return out
 
 

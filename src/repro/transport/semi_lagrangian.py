@@ -25,15 +25,15 @@ The departure points depend only on the (stationary) velocity and the time
 step, so they are computed once per velocity and re-used for every time step
 and every transported field — the "interpolation planner"/scatter phase of
 Sec. III-C2.  The stepper goes one step further and caches the full
-**gather plan** (base indices + per-axis kernel weights, see
+**gather plan** (wrapped coordinates + stencil plan, see
 :mod:`repro.transport.kernels`) for its departure points, so repeated steps
-never re-derive the interpolation stencil; fields that are interpolated
+never re-trace or re-plan; fields that are interpolated
 together (the transported quantity and its source, the three velocity
 components of the RK2 trace) move through one batched gather pass.  The
 same machinery handles the adjoint equations after the time reversal
 ``tau = 1 - t`` by passing ``-v``.
 
-Since PR 3 the departure points and their gather plan live in the shared
+The departure points and their gather plan live in the shared
 **plan pool** (:mod:`repro.runtime.plan_pool`), keyed by the *content* of
 ``(grid, velocity, dt, kernel, backend)``: any stepper built for a velocity
 the pool has already planned — the line-search trial that the next
@@ -52,12 +52,7 @@ import numpy as np
 from repro.runtime.plan_pool import array_fingerprint, get_plan_pool
 from repro.spectral.grid import Grid
 from repro.transport.interpolation import PeriodicInterpolator
-from repro.transport.kernels import (
-    FieldSource,
-    GatherPlan,
-    is_field_source,
-    plan_layout_cache_token,
-)
+from repro.transport.kernels import GatherPlan
 from repro.utils.validation import check_velocity_shape
 
 
@@ -173,12 +168,8 @@ class SemiLagrangianStepper:
     def _pool_key(self) -> Tuple:
         """Content key of this stepper's planning data in the shared pool.
 
-        The stencil-plan layout policy is part of the content: a pooled lean
-        plan must never satisfy a lookup made under
-        ``REPRO_PLAN_LAYOUT=streaming`` (they gather identically, but their
-        memory accounting differs).  Under the ``auto`` policy the token
-        carries the decision inputs (pool budget, threshold fraction), so a
-        budget change re-keys the plans whose auto decision could flip.
+        Only the content the plan is built from: the pool budget is not part
+        of it, so a re-sized pool still serves its warm plans.
         """
         return (
             "semi-lagrangian-departure",
@@ -186,7 +177,6 @@ class SemiLagrangianStepper:
             float(self.dt),
             self.interpolator.method,
             self.interpolator.backend_name,
-            plan_layout_cache_token(),
             array_fingerprint(self.velocity),
         )
 
@@ -207,15 +197,8 @@ class SemiLagrangianStepper:
         """Interpolate a grid field at the cached departure points."""
         return self.interpolator.interpolate_planned(field, self.departure_plan)
 
-    def interpolate_many_at_departure(
-        self, fields: "np.ndarray | FieldSource"
-    ) -> np.ndarray:
-        """Batched interpolation of a ``(B, N1, N2, N3)`` stack at the plan.
-
-        A :class:`~repro.transport.kernels.FieldSource` runs the gather in
-        tiled (out-of-core) mode with bitwise-identical values — the entry
-        point for fields too large to hold resident.
-        """
+    def interpolate_many_at_departure(self, fields: np.ndarray) -> np.ndarray:
+        """Batched interpolation of a ``(B, N1, N2, N3)`` stack at the plan."""
         return self.interpolator.interpolate_many_planned(fields, self.departure_plan)
 
     def step(
@@ -289,18 +272,7 @@ class SemiLagrangianStepper:
         the shared departure points in a *single* gather pass through the
         cached plan (e.g. the three displacement components and the three
         velocity components of the deformation-map transport).
-
-        For a pure advection (no sources) *fields* may also be a
-        :class:`~repro.transport.kernels.FieldSource`: the step then runs a
-        tiled gather (the out-of-core path) with bitwise-identical values.
         """
-        if is_field_source(fields):
-            if sources_old is not None or sources_new is not None:
-                raise ValueError(
-                    "tiled step_many only supports pure advection "
-                    "(sources must be None when fields is a FieldSource)"
-                )
-            return self.interpolate_many_at_departure(fields)
         fields = np.asarray(fields)
         if sources_old is None and sources_new is None:
             return self.interpolate_many_at_departure(fields)

@@ -46,10 +46,9 @@ class TransportPlan:
     characteristics (velocity ``v``) and once for the backward
     characteristics (velocity ``-v``), then re-used by the state, adjoint and
     both incremental equations of every Hessian matvec (Sec. III-C2).  Each
-    stepper additionally caches the gather plan (base indices + per-axis
-    interpolation weights, :mod:`repro.transport.kernels`) of its departure
-    points, so the Hessian mat-vecs never re-derive stencils they already
-    have.
+    stepper additionally caches the gather plan (wrapped coordinates +
+    stencil plan, :mod:`repro.transport.kernels`) of its departure points,
+    so the Hessian mat-vecs never re-plan points they already have.
     """
 
     velocity: np.ndarray

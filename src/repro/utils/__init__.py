@@ -6,7 +6,6 @@ optimization, parallel substrate) can use them freely.
 """
 
 from repro.utils.logging import get_logger, set_verbosity
-from repro.utils.timing import Timer, TimingRegistry
 from repro.utils.validation import (
     check_positive,
     check_positive_int,
@@ -19,8 +18,6 @@ from repro.utils.validation import (
 __all__ = [
     "get_logger",
     "set_verbosity",
-    "Timer",
-    "TimingRegistry",
     "check_positive",
     "check_positive_int",
     "check_probability",

@@ -28,13 +28,10 @@ from repro.observability.trace import (
     get_trace_recorder,
     tracing_enabled,
 )
-from repro.runtime.layout import layout_decision_log, set_auto_fraction
 from repro.runtime.plan_pool import get_plan_pool, reset_plan_pool
 from repro.runtime.workers import set_default_workers
 from repro.spectral.grid import Grid
 from repro.spectral.operators import SpectralOperators
-from repro.transport.kernels import field_source_log, set_default_plan_layout
-from repro.transport.sources import set_default_field_source
 
 from tests.fixtures import make_grid, smooth_scalar_field, smooth_velocity_field
 
@@ -55,30 +52,20 @@ def _fresh_plan_pool():
     test run in isolation vs. in-suite) would depend on execution order.
     Entries and statistics are dropped; the byte budget (which the pressure
     CI leg sets via ``REPRO_PLAN_POOL_BYTES``) is left untouched.  The
-    process-wide layout override (the CLI's ``--plan-layout`` path) and the
-    auto-layout decision log are reset for the same reason: both are shared
-    state a test may set.  The tracing flag and span recorder are restored
-    too, so a test that enables tracing never leaks spans into the next.
+    process-wide worker and gradient-cache overrides and the gradient-cache
+    decision log are reset for the same reason: all are shared state a
+    test may set.  The tracing flag and span recorder are restored too, so
+    a test that enables tracing never leaks spans into the next.
     """
     trace_was_enabled = tracing_enabled()
     reset_plan_pool()
-    set_default_plan_layout(None)
-    set_auto_fraction(None)
     set_default_workers(None)
-    set_default_field_source(None)
     set_gradient_cache_enabled(None)
-    layout_decision_log().reset()
-    field_source_log().reset()
     gradient_cache_decision_log().reset()
     yield
     reset_plan_pool()
-    set_default_plan_layout(None)
-    set_auto_fraction(None)
     set_default_workers(None)
-    set_default_field_source(None)
     set_gradient_cache_enabled(None)
-    layout_decision_log().reset()
-    field_source_log().reset()
     gradient_cache_decision_log().reset()
     if trace_was_enabled:
         enable_tracing()

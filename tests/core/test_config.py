@@ -11,15 +11,8 @@ from repro.config import RegistrationConfig
 from repro.core import registration as registration_module
 from repro.core.registration import RegistrationSolver, register
 from repro.data.synthetic import synthetic_registration_problem
-from repro.runtime.layout import auto_streaming_fraction
 from repro.runtime.plan_pool import configure_plan_pool, get_plan_pool
 from repro.runtime.workers import resolve_workers
-from repro.transport.kernels import default_plan_layout, set_default_plan_layout
-from repro.transport.sources import (
-    FIELD_SOURCE_ENV_VAR,
-    default_field_source,
-    set_default_field_source,
-)
 
 
 @pytest.fixture()
@@ -44,10 +37,26 @@ class TestConstruction:
             RegistrationConfig(workers=0)
         with pytest.raises(ValueError, match="plan_pool_bytes"):
             RegistrationConfig(plan_pool_bytes=-1)
-        with pytest.raises(ValueError, match="auto_fraction"):
-            RegistrationConfig(auto_fraction=1.5)
-        with pytest.raises(ValueError, match="auto_fraction"):
-            RegistrationConfig(auto_fraction=0.0)
+
+    def test_seven_fields(self):
+        assert list(RegistrationConfig().as_dict()) == [
+            "fft_backend",
+            "interp_backend",
+            "workers",
+            "plan_pool_bytes",
+            "gradient_cache",
+            "trace",
+            "trace_out",
+        ]
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("plan_layout", "streaming"), ("auto_fraction", 0.25), ("field_source", "memmap")],
+    )
+    def test_removed_fields_are_rejected(self, field, value):
+        """One stencil plan, one resident field path: no layout or source knob."""
+        with pytest.raises(TypeError, match=field):
+            RegistrationConfig(**{field: value})
 
     def test_replace_derives_a_variant(self):
         base = RegistrationConfig(fft_backend="numpy")
@@ -60,29 +69,14 @@ class TestConstruction:
         config = RegistrationConfig.from_env()
         assert config.fft_backend is not None
         assert config.interp_backend is not None
-        assert config.plan_layout in ("auto", "lean", "fat", "streaming")
         assert config.workers >= 1
         assert config.plan_pool_bytes == get_plan_pool().max_bytes
-        assert 0.0 < config.auto_fraction <= 1.0
-        assert config.field_source in ("resident", "memmap")
-
-    def test_from_env_snapshots_the_field_source_mode(self, monkeypatch):
-        monkeypatch.setenv(FIELD_SOURCE_ENV_VAR, "memmap")
-        assert RegistrationConfig.from_env().field_source == "memmap"
 
 
 class TestValidateAndApply:
     def test_validate_rejects_unknown_backend(self):
         with pytest.raises((ValueError, KeyError)):
             RegistrationConfig(fft_backend="no-such-engine").validate()
-
-    def test_validate_rejects_unknown_layout(self):
-        with pytest.raises(ValueError, match="layout"):
-            RegistrationConfig(plan_layout="no-such-layout").validate()
-
-    def test_validate_rejects_unknown_field_source(self):
-        with pytest.raises(ValueError, match="field-source"):
-            RegistrationConfig(field_source="floppy").validate()
 
     def test_validate_surfaces_malformed_env(self, monkeypatch):
         from repro.runtime.plan_pool import POOL_BYTES_ENV_VAR
@@ -91,45 +85,21 @@ class TestValidateAndApply:
         with pytest.raises(ValueError, match=POOL_BYTES_ENV_VAR):
             RegistrationConfig().validate()
 
-    def test_validate_surfaces_malformed_field_source_env(self, monkeypatch):
-        monkeypatch.setenv(FIELD_SOURCE_ENV_VAR, "floppy")
-        with pytest.raises(ValueError, match=FIELD_SOURCE_ENV_VAR):
-            RegistrationConfig().validate()
-
-    def test_apply_sets_the_field_source_mode(self):
-        try:
-            RegistrationConfig(field_source="memmap").apply()
-            assert default_field_source() == "memmap"
-        finally:
-            set_default_field_source(None)
-
-    def test_apply_leaves_field_source_untouched_when_unset(self):
-        set_default_field_source("memmap")
-        try:
-            RegistrationConfig(auto_fraction=0.25).apply()
-            assert default_field_source() == "memmap"
-        finally:
-            set_default_field_source(None)
-
-    def test_apply_pushes_only_set_fields(self):
+    def test_apply_pushes_only_set_fields(self, monkeypatch):
+        monkeypatch.delenv("REPRO_INTERP_WORKERS", raising=False)
         budget_before = get_plan_pool().max_bytes
-        layout_before = default_plan_layout()
-        RegistrationConfig(auto_fraction=0.25).apply()
-        assert auto_streaming_fraction() == 0.25
+        RegistrationConfig(workers=2).apply()
+        assert resolve_workers("interp") == 2
         # unset fields leave the other process-wide knobs untouched
         assert get_plan_pool().max_bytes == budget_before
-        assert default_plan_layout() == layout_before
 
-    def test_apply_sets_layout_workers_and_budget(self):
+    def test_apply_sets_workers_and_budget(self, monkeypatch):
+        monkeypatch.delenv("REPRO_INTERP_WORKERS", raising=False)
         try:
-            RegistrationConfig(
-                plan_layout="streaming", workers=3, plan_pool_bytes=123456
-            ).apply()
-            assert default_plan_layout() == "streaming"
+            RegistrationConfig(workers=3, plan_pool_bytes=123456).apply()
             assert resolve_workers("interp") == 3
             assert get_plan_pool().max_bytes == 123456
         finally:
-            set_default_plan_layout(None)
             configure_plan_pool(None)
 
     def test_apply_returns_self_for_chaining(self):
@@ -255,7 +225,7 @@ class TestResultSchema:
         )
         doc = result.to_dict()
         assert doc["schema"] == "repro.registration-result"
-        assert doc["schema_version"] == 2  # v2 embeds the observability snapshot
+        assert doc["schema_version"] == 3  # v3 drops the field_sources block
         text = json.dumps(doc)  # no numpy scalars may survive
         round_tripped = json.loads(text)
         assert round_tripped["summary"]["relative_residual"] == pytest.approx(
@@ -263,27 +233,5 @@ class TestResultSchema:
         )
         assert isinstance(round_tripped["plan_pool"]["hits"], int)
         assert np.isfinite(round_tripped["elapsed_seconds"])
-        # per-run field-source traffic rides along for artifact storage
-        for key in ("loads", "bytes_loaded", "peak_tile_bytes", "prefetch_issued"):
-            assert isinstance(round_tripped["field_sources"][key], int)
-        assert round_tripped["summary"]["field_source_loads"] == (
-            round_tripped["field_sources"]["loads"]
-        )
-
-    def test_field_source_traffic_is_counted_per_run(self, tiny_problem, fast_options):
-        # the numpy engine gathers tiled from sources (scipy's cubic spline
-        # materializes inside map_coordinates), so tile traffic is recorded
-        try:
-            result = register(
-                tiny_problem.template,
-                tiny_problem.reference,
-                options=fast_options,
-                config=RegistrationConfig(
-                    interp_backend="numpy", field_source="memmap"
-                ),
-            )
-        finally:
-            set_default_field_source(None)
-        assert result.field_sources.loads > 0
-        assert result.field_sources.bytes_loaded > 0
-        assert result.summary()["field_source_loads"] == result.field_sources.loads
+        assert "field_sources" not in round_tripped
+        assert not any(key.startswith("field_source") for key in round_tripped["summary"])

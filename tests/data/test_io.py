@@ -1,7 +1,7 @@
 """Tests of the memory-mapped problem I/O (:func:`repro.data.io.open_problem`).
 
 The classic :func:`load_problem` round trip is covered in ``test_data.py``;
-this module pins the out-of-core disk format: uncompressed archives whose
+this module pins the memory-mapped disk format: uncompressed archives whose
 volume members can be mapped in place, lazy read-only views, and the clear
 errors raised for the formats that cannot be mapped.
 """
@@ -92,6 +92,60 @@ class TestMemmapNpzMember:
         np.savez(path, fields=np.asfortranarray(np.arange(24.0).reshape(2, 3, 4)))
         with pytest.raises(ValueError, match="C-contiguous|Fortran"):
             memmap_npz_member(path, "fields")
+
+    @pytest.mark.parametrize(
+        "dtype",
+        [
+            np.float16,
+            np.float32,
+            np.float64,
+            np.int8,
+            np.int16,
+            np.int32,
+            np.int64,
+            np.uint8,
+            np.uint16,
+            np.complex64,
+            np.complex128,
+            np.bool_,
+            ">f8",
+        ],
+    )
+    def test_maps_every_plain_dtype(self, tmp_path, dtype):
+        """Any plain numeric member maps in place with its on-disk dtype
+        (byte order included)."""
+        values = (np.arange(60) % 7).reshape(3, 4, 5).astype(dtype)
+        path = tmp_path / "typed.npz"
+        np.savez(path, fields=values)
+        mapped = memmap_npz_member(path, "fields")
+        assert mapped.dtype == values.dtype
+        assert mapped.shape == values.shape
+        np.testing.assert_array_equal(np.asarray(mapped), values)
+
+    @pytest.mark.parametrize("shape", [(0,), (7,), (2, 3, 4, 5)], ids=["empty", "1d", "4d"])
+    def test_maps_any_rank(self, tmp_path, shape):
+        values = np.arange(int(np.prod(shape)), dtype=np.float64).reshape(shape)
+        path = tmp_path / "ranked.npz"
+        np.savez(path, fields=values)
+        mapped = memmap_npz_member(path, "fields")
+        assert mapped.shape == shape
+        np.testing.assert_array_equal(np.asarray(mapped), values)
+
+    def test_maps_a_version_2_npy_header(self, tmp_path):
+        """Members written with the ``.npy`` 2.0 header format map too."""
+        import io
+        import zipfile
+
+        from numpy.lib import format as npy_format
+
+        values = np.arange(24.0).reshape(2, 3, 4)
+        buffer = io.BytesIO()
+        npy_format.write_array(buffer, values, version=(2, 0))
+        path = tmp_path / "v2.npz"
+        with zipfile.ZipFile(path, "w", compression=zipfile.ZIP_STORED) as archive:
+            archive.writestr("fields.npy", buffer.getvalue())
+        mapped = memmap_npz_member(path, "fields")
+        np.testing.assert_array_equal(np.asarray(mapped), values)
 
     def test_object_dtype_member_rejected(self, tmp_path):
         path = tmp_path / "obj.npz"

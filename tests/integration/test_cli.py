@@ -48,18 +48,6 @@ class TestParser:
         defaults = build_parser().parse_args(["register", "--synthetic", "16"])
         assert defaults.plan_pool_bytes is None
         assert defaults.workers is None
-        assert defaults.plan_layout is None
-
-    def test_plan_layout_choices(self):
-        args = build_parser().parse_args(
-            ["register", "--synthetic", "16", "--plan-layout", "streaming"]
-        )
-        assert args.plan_layout == "streaming"
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(
-                ["register", "--synthetic", "16", "--plan-layout", "sparse"]
-            )
-
 
 class TestRegisterCommand:
     def test_synthetic_registration_writes_output(self, tmp_path, capsys):
@@ -130,68 +118,6 @@ class TestRegisterCommand:
         finally:
             configure_plan_pool(None)
             set_default_workers(None)
-
-    def test_plan_layout_run_sets_process_default(self, capsys, monkeypatch):
-        import os
-
-        from repro.transport.kernels import (
-            PLAN_LAYOUT_ENV_VAR,
-            default_plan_layout,
-            set_default_plan_layout,
-        )
-
-        monkeypatch.delenv(PLAN_LAYOUT_ENV_VAR, raising=False)
-        try:
-            code = main(
-                [
-                    "register",
-                    "--synthetic", "12",
-                    "--plan-layout", "streaming",
-                    "--max-newton", "2",
-                    "--max-krylov", "4",
-                ]
-            )
-            assert code == 0
-            assert "Registration summary" in capsys.readouterr().out
-            assert default_plan_layout() == "streaming"
-            # the CLI flag never leaks into the environment (child processes)
-            assert PLAN_LAYOUT_ENV_VAR not in os.environ
-        finally:
-            set_default_plan_layout(None)
-        assert default_plan_layout() == "auto"
-
-    def test_plan_layout_auto_flag_accepted(self, capsys):
-        from repro.transport.kernels import set_default_plan_layout
-
-        try:
-            code = main(
-                [
-                    "register",
-                    "--synthetic", "12",
-                    "--plan-layout", "auto",
-                    "--max-newton", "2",
-                    "--max-krylov", "4",
-                ]
-            )
-            assert code == 0
-            assert "Registration summary" in capsys.readouterr().out
-        finally:
-            set_default_plan_layout(None)
-
-    def test_malformed_plan_layout_env_is_a_clean_error(self, capsys, monkeypatch):
-        from repro.transport.kernels import PLAN_LAYOUT_ENV_VAR
-
-        monkeypatch.setenv(PLAN_LAYOUT_ENV_VAR, "leann")
-        assert main(["register", "--synthetic", "12"]) == 2
-        err = capsys.readouterr().err
-        assert PLAN_LAYOUT_ENV_VAR in err and "streaming" in err
-
-    def test_malformed_auto_fraction_env_is_a_clean_error(self, capsys, monkeypatch):
-        from repro.runtime import AUTO_FRACTION_ENV_VAR
-
-        monkeypatch.setenv(AUTO_FRACTION_ENV_VAR, "2.0")
-        assert main(["register", "--synthetic", "12"]) == 2
-        assert AUTO_FRACTION_ENV_VAR in capsys.readouterr().err
 
     def test_malformed_interp_backend_env_is_a_clean_error(self, capsys, monkeypatch):
         from repro.transport.kernels import BACKEND_ENV_VAR
@@ -359,7 +285,7 @@ class TestServeCommand:
         assert "subjects" in capsys.readouterr().err
 
     def test_serve_accepts_config_flags(self, capsys):
-        code = main(self._serve_args("--fft-backend", "numpy", "--plan-layout", "lean"))
+        code = main(self._serve_args("--fft-backend", "numpy", "--workers", "1"))
         assert code == 0
 
     def test_serve_main_entry_point(self, capsys):
@@ -467,13 +393,6 @@ class TestObservabilityCLI:
         assert main(self._register_args()) == 2
         assert TRACE_ENV_VAR in capsys.readouterr().err
 
-    def test_malformed_io_workers_env_is_a_clean_error(self, capsys, monkeypatch):
-        from repro.runtime.workers import IO_WORKERS_ENV_VAR
-
-        monkeypatch.setenv(IO_WORKERS_ENV_VAR, "fast")
-        assert main(self._register_args()) == 2
-        assert IO_WORKERS_ENV_VAR in capsys.readouterr().err
-
     def test_malformed_service_workers_env_is_a_clean_error(self, capsys, monkeypatch):
         from repro.runtime.workers import SERVICE_WORKERS_ENV_VAR
 
@@ -482,12 +401,12 @@ class TestObservabilityCLI:
         assert SERVICE_WORKERS_ENV_VAR in capsys.readouterr().err
 
     def test_serve_rejects_malformed_worker_envs_too(self, capsys, monkeypatch):
-        from repro.runtime.workers import IO_WORKERS_ENV_VAR
+        from repro.runtime.workers import INTERP_WORKERS_ENV_VAR
 
-        monkeypatch.setenv(IO_WORKERS_ENV_VAR, "many")
+        monkeypatch.setenv(INTERP_WORKERS_ENV_VAR, "many")
         code = main(["serve", "--synthetic", "8", "--subjects", "1"])
         assert code == 2
-        assert IO_WORKERS_ENV_VAR in capsys.readouterr().err
+        assert INTERP_WORKERS_ENV_VAR in capsys.readouterr().err
 
     def test_verbose_report_agrees_with_result_document(self, capsys):
         from repro.observability import get_trace_recorder
@@ -499,7 +418,8 @@ class TestObservabilityCLI:
         out = capsys.readouterr().out
         doc = _extract_result_document(out)
         assert doc["schema"] == "repro.registration-result"
-        assert doc["schema_version"] == 2
+        assert doc["schema_version"] == 3
+        assert "field_sources" not in doc
 
         # embedded observability snapshot: enabled trace, valid document
         from repro.observability import validate_snapshot
@@ -517,10 +437,6 @@ class TestObservabilityCLI:
         assert delta["misses"] >= 1
         assert delta["misses"] <= pool["misses"]
 
-        # field-source traffic line vs the document
-        sources = doc["field_sources"]
-        assert f"field sources: {sources['loads']} tile loads" in out
-
         # phase-timing table: one row per span name, spans/count columns
         # agreeing with the recorder (= the document's span_counts)
         assert "phase timings (traced spans):" in out
@@ -536,107 +452,3 @@ class TestObservabilityCLI:
         for name, (num_spans, total_count) in rows.items():
             assert total_count == span_counts[name]
             assert 1 <= num_spans <= total_count
-
-    def test_verbose_layout_decisions_agree_with_log(self, capsys):
-        from repro.runtime import layout_decision_log
-
-        code = main(
-            ["--verbose", *self._register_args("--plan-layout", "auto")]
-        )
-        assert code == 0
-        out = capsys.readouterr().out
-        decisions = layout_decision_log()
-        if decisions.total:
-            assert f"auto plan layout: {decisions.total} decisions" in out
-
-
-class TestFieldSourceMode:
-    """The ``--field-source`` flag and the out-of-core register/serve paths."""
-
-    def test_flag_choices(self):
-        args = build_parser().parse_args(
-            ["register", "--synthetic", "12", "--field-source", "memmap"]
-        )
-        assert args.field_source == "memmap"
-        defaults = build_parser().parse_args(["register", "--synthetic", "12"])
-        assert defaults.field_source is None
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(
-                ["register", "--synthetic", "12", "--field-source", "floppy"]
-            )
-
-    def test_register_memmaps_an_uncompressed_input(self, tmp_path, capsys):
-        from repro.transport.sources import set_default_field_source
-
-        problem = synthetic_registration_problem(12)
-        path = tmp_path / "pair.npz"
-        save_problem(path, problem.reference, problem.template, grid=problem.grid,
-                     compress=False)
-        try:
-            code = main(
-                [
-                    "--verbose",
-                    "register",
-                    "--input", str(path),
-                    "--field-source", "memmap",
-                    "--max-newton", "2",
-                    "--max-krylov", "4",
-                ]
-            )
-        finally:
-            set_default_field_source(None)
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "Registration summary" in out
-        assert "field sources:" in out
-
-    def test_register_compressed_input_degrades_with_a_warning(self, tmp_path, capsys):
-        from repro.transport.sources import set_default_field_source
-
-        problem = synthetic_registration_problem(12)
-        path = tmp_path / "pair.npz"
-        save_problem(path, problem.reference, problem.template, grid=problem.grid,
-                     compress=True)
-        try:
-            code = main(
-                [
-                    "register",
-                    "--input", str(path),
-                    "--field-source", "memmap",
-                    "--max-newton", "1",
-                    "--max-krylov", "3",
-                ]
-            )
-        finally:
-            set_default_field_source(None)
-        captured = capsys.readouterr()
-        assert code == 0
-        assert "loading resident instead" in captured.err
-        assert "Registration summary" in captured.out
-
-    def test_serve_memmaps_an_uncompressed_population(self, tmp_path, capsys):
-        from repro.transport.sources import set_default_field_source
-
-        population_path = tmp_path / "population.npz"
-        problem = synthetic_registration_problem(8)
-        np.savez(  # plain savez: stored members, mappable in place
-            population_path,
-            reference=problem.reference,
-            subjects=np.stack([problem.template, problem.template], axis=0),
-        )
-        try:
-            code = main(
-                [
-                    "serve",
-                    "--input", str(population_path),
-                    "--field-source", "memmap",
-                    "--beta", "1e-1",
-                    "--max-newton", "1",
-                    "--max-krylov", "3",
-                    "--num-workers", "1",
-                ]
-            )
-        finally:
-            set_default_field_source(None)
-        assert code == 0
-        assert "num_subjects" in capsys.readouterr().out

@@ -22,6 +22,12 @@ class TestSnapshot:
         assert document["schema_version"] == SNAPSHOT_SCHEMA_VERSION
         validate_snapshot(document)
 
+    def test_v2_drops_the_field_source_and_layout_blocks(self):
+        document = snapshot()
+        assert SNAPSHOT_SCHEMA_VERSION == 2
+        assert "field_sources" not in document
+        assert "layout_decisions" not in document
+
     def test_snapshot_reflects_recorded_spans(self):
         enable_tracing()
         with trace_span("phase.a", count=3):
@@ -61,10 +67,57 @@ class TestValidators:
         with pytest.raises(ValueError, match="schema must be"):
             validate_snapshot(document)
 
+    def test_validate_snapshot_rejects_v1_documents(self):
+        document = snapshot()
+        document["schema_version"] = 1
+        with pytest.raises(ValueError, match="schema_version"):
+            validate_snapshot(document)
+
     def test_validate_snapshot_rejects_missing_block(self):
         document = snapshot()
         del document["plan_pool"]
         with pytest.raises(ValueError, match="plan_pool"):
+            validate_snapshot(document)
+
+    @pytest.mark.parametrize("block", ["metrics", "plan_pool", "plan_pool_by_tag", "trace"])
+    def test_validate_snapshot_requires_every_v2_block(self, block):
+        document = snapshot()
+        del document[block]
+        with pytest.raises(ValueError, match=f"missing required block '{block}'"):
+            validate_snapshot(document)
+
+    @pytest.mark.parametrize("block", ["metrics", "plan_pool", "plan_pool_by_tag", "trace"])
+    def test_validate_snapshot_rejects_non_dict_block(self, block):
+        document = snapshot()
+        document[block] = []
+        with pytest.raises(ValueError, match=f"block '{block}' must be a dict"):
+            validate_snapshot(document)
+
+    @pytest.mark.parametrize(
+        "key, bad_value",
+        [
+            ("enabled", "yes"),
+            ("spans", 1.5),
+            ("span_counts", []),
+            ("span_durations_seconds", None),
+        ],
+    )
+    def test_validate_snapshot_checks_trace_field_types(self, key, bad_value):
+        document = snapshot()
+        document["trace"][key] = bad_value
+        with pytest.raises(ValueError, match=f"trace.{key}"):
+            validate_snapshot(document)
+
+    def test_validate_snapshot_rejects_non_integer_pool_counter(self):
+        document = snapshot()
+        document["plan_pool"]["hits"] = 1.0
+        with pytest.raises(ValueError, match="plan_pool\\['hits'\\]"):
+            validate_snapshot(document)
+
+    def test_validate_snapshot_rejects_non_dict_metric_series(self):
+        document = snapshot()
+        document["metrics"]["repro_example_total"] = 3
+        with pytest.raises(ValueError, match="metrics\\['repro_example_total'\\]"):
             validate_snapshot(document)
 
     def test_validate_chrome_trace_rejects_missing_events(self):

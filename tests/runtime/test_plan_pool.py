@@ -167,6 +167,26 @@ class TestStepperPooling:
         delta = plan_pool.stats - before
         assert delta.hits == 0 and delta.misses == 2
 
+    def test_budget_change_keeps_stencil_plan_warm(self, plan_pool, monkeypatch):
+        """The pool budget is not part of a plan's content: re-sizing the
+        pool (a different REPRO_PLAN_POOL_BYTES) still serves the warm plan."""
+        from repro.transport.interpolation import PeriodicInterpolator
+
+        grid = Grid((12, 12, 12))
+        velocity = smooth_velocity_field(grid, seed=106, amplitude=0.4)
+        interp = PeriodicInterpolator(grid, "catmull_rom", backend="numpy")
+        monkeypatch.setenv(POOL_BYTES_ENV_VAR, "64000000")
+        configure_plan_pool(None)
+        cold = SemiLagrangianStepper(grid, velocity, dt=0.25, interpolator=interp)
+        assert cold.departure_plan.is_cached
+        monkeypatch.setenv(POOL_BYTES_ENV_VAR, "128000000")
+        configure_plan_pool(None)
+        before = plan_pool.stats
+        warm = SemiLagrangianStepper(grid, velocity, dt=0.25, interpolator=interp)
+        delta = plan_pool.stats - before
+        assert delta.hits == 1 and delta.misses == 0
+        assert warm.departure_plan is cold.departure_plan
+
     def test_transport_solver_plan_reuses_pool(self, plan_pool):
         grid = Grid((12, 12, 12))
         solver = TransportSolver(grid, num_time_steps=4)

@@ -10,7 +10,7 @@ threads and assert the properties the service relies on:
 * byte accounting stays exact (``bytes_used == sum(nbytes)``, never above
   the budget) across concurrent inserts and evictions
   (:meth:`~repro.runtime.plan_pool.PlanPool.validate_accounting`);
-* the layout decision log never drops concurrent records.
+* the gradient-cache decision log never drops concurrent records.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from repro.runtime.layout import LayoutDecision, LayoutDecisionLog
+from repro.core.gradients import GradientCacheDecision, GradientCacheDecisionLog
 from repro.runtime.plan_pool import PlanPool
 
 NUM_THREADS = 8
@@ -194,21 +194,20 @@ class TestAccountingUnderPressure:
         assert summary["current_bytes"] <= pool.max_bytes
 
 
-class TestLayoutLogConcurrency:
+class TestDecisionLogConcurrency:
     def test_concurrent_records_are_never_lost(self):
-        log = LayoutDecisionLog(recent=4)
+        log = GradientCacheDecisionLog(recent=4)
         per_thread = 100
 
         def worker(index):
-            layout = "lean" if index % 2 == 0 else "streaming"
             for _ in range(per_thread):
                 log.record(
-                    LayoutDecision(
-                        layout=layout,
+                    GradientCacheDecision(
+                        cached=index % 2 == 0,
+                        num_levels=5,
                         num_points=1,
-                        projected_lean_bytes=36,
+                        projected_bytes=120,
                         budget_bytes=1024,
-                        fraction=0.5,
                         reason="hammer",
                     )
                 )
@@ -217,6 +216,6 @@ class TestLayoutLogConcurrency:
             list(executor.map(worker, range(NUM_THREADS)))
         counts = log.counts()
         assert log.total == NUM_THREADS * per_thread
-        assert counts["lean"] == (NUM_THREADS // 2) * per_thread
-        assert counts["streaming"] == (NUM_THREADS - NUM_THREADS // 2) * per_thread
+        assert counts["cached"] == (NUM_THREADS // 2) * per_thread
+        assert counts["uncached"] == (NUM_THREADS - NUM_THREADS // 2) * per_thread
         assert len(log.recent()) == 4

@@ -10,7 +10,7 @@ from repro.parallel.transport import DistributedTransportSolver
 from repro.service.batching import batch_key, group_compatible, stack_compatible
 from repro.service.jobs import RegistrationJobSpec, TransportJobSpec
 from repro.spectral.grid import Grid
-from repro.transport.kernels import set_default_plan_layout
+from repro.runtime.plan_pool import configure_plan_pool
 
 from tests.fixtures import make_grid, smooth_scalar_field, smooth_velocity_field
 
@@ -45,13 +45,13 @@ class TestBatchKey:
         other_grid = make_grid(10)
         assert batch_key(base) != batch_key(_spec(other_grid))  # grid
 
-    def test_key_separates_plan_layouts(self, grid):
+    def test_key_ignores_the_pool_budget(self, grid):
         base_key = batch_key(_spec(grid))
-        set_default_plan_layout("streaming")
+        configure_plan_pool(12345)
         try:
-            assert batch_key(_spec(grid)) != base_key
+            assert batch_key(_spec(grid)) == base_key
         finally:
-            set_default_plan_layout(None)
+            configure_plan_pool(None)
 
 
 class TestGrouping:

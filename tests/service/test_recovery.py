@@ -60,8 +60,14 @@ for job in fast:
     deadline = time.monotonic() + 60
     while not os.path.exists(path) and time.monotonic() < deadline:
         time.sleep(0.005)
-with open(marker_path, "w") as handle:
+# publish the marker atomically: the parent polls for its existence, so
+# it must never see a created-but-still-empty document
+tmp_path = marker_path + ".tmp"
+with open(tmp_path, "w") as handle:
     json.dump({{"job_ids": [job.job_id for job in fast + slow]}}, handle)
+    handle.flush()
+    os.fsync(handle.fileno())
+os.replace(tmp_path, marker_path)
 threading.Event().wait()  # hold every claimed solve open until SIGKILL
 """
 

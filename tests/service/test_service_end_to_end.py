@@ -226,6 +226,9 @@ class TestArtifactsAndStats:
         assert stats["num_workers"] == 2
         assert 0.0 <= stats["plan_pool_hit_rate"] <= 1.0
         assert stats["plan_pool"]["hits"] == get_plan_pool().stats.hits
+        assert "layout_decisions" not in stats
+        for job in jobs:
+            assert "layout_decisions" not in job.record.metrics
 
     def test_shutdown_without_drain_cancels_queued(self):
         grid = make_grid(8)

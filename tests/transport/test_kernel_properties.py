@@ -1,11 +1,11 @@
 """Hypothesis property tests for the stencil-plan/executor layer.
 
 The executor contract the whole subsystem rests on: a gather's bits depend
-only on the (method, coordinates, field) content — never on the plan layout
-(fat / lean / streaming), the executor's chunk size, or the worker count.
-The PR-4 streaming layout rewrites the executor's chunk protocol, so these
-sweeps pin the contract across the full randomized cross product instead of
-a handful of hand-picked combinations.
+only on the (method, coordinates, field) content — never on the executor's
+chunk size or the worker count.  The reference of every sweep is the same
+plan evaluated as one chunk (``chunk >= num_points``) on a single worker,
+i.e. the whole stencil materialized at once; ``map_coordinates`` agreement
+(``test_kernels.py``) stays the external reference.
 """
 
 import numpy as np
@@ -13,15 +13,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.transport.kernels import (
-    PLAN_LAYOUTS,
     SUPPORTED_METHODS,
     STENCIL_CHUNK,
-    ArrayFieldSource,
-    StreamingStencilPlan,
-    available_backends,
+    StencilPlan,
     build_stencil_plan,
     execute_stencil_plan,
-    get_backend,
 )
 
 SHAPE = (8, 10, 9)
@@ -37,9 +33,13 @@ def _coords(seed: int, num_points: int) -> np.ndarray:
     return rng.uniform(0.0, 1.0, size=(3, num_points)) * scale
 
 
+def _one_chunk_reference(flat: np.ndarray, plan: StencilPlan) -> np.ndarray:
+    """The whole stencil derived in one chunk on one worker."""
+    return execute_stencil_plan(flat, plan, chunk=max(plan.num_points, 1), workers=1)
+
+
 class TestGatherBitwiseInvariance:
     @given(
-        layout=st.sampled_from(PLAN_LAYOUTS),
         method=st.sampled_from(SUPPORTED_METHODS),
         chunk=st.integers(1, 700),
         workers=st.integers(1, 4),
@@ -47,112 +47,44 @@ class TestGatherBitwiseInvariance:
         seed=st.integers(0, 1000),
     )
     @settings(max_examples=40, deadline=None)
-    def test_layout_chunk_workers_never_change_the_bits(
-        self, layout, method, chunk, workers, num_points, seed
+    def test_chunk_and_workers_never_change_the_bits(
+        self, method, chunk, workers, num_points, seed
     ):
-        """The tentpole pin: every (layout, chunk, workers) combination
-        gathers bitwise identically to the fat single-threaded reference."""
+        """Every (chunk, workers) combination gathers bitwise identically to
+        the one-chunk single-threaded evaluation of the same plan."""
         flat = _field_stack(seed)
-        coords = _coords(seed, num_points)
-        reference = execute_stencil_plan(
-            flat, build_stencil_plan(SHAPE, coords, method, layout="fat"), workers=1
-        )
-        plan = build_stencil_plan(SHAPE, coords, method, layout=layout)
+        plan = build_stencil_plan(SHAPE, _coords(seed, num_points), method)
         candidate = execute_stencil_plan(flat, plan, chunk=chunk, workers=workers)
-        np.testing.assert_array_equal(candidate, reference)
+        np.testing.assert_array_equal(candidate, _one_chunk_reference(flat, plan))
 
     @given(
-        layout=st.sampled_from(PLAN_LAYOUTS),
         method=st.sampled_from(SUPPORTED_METHODS),
+        chunk=st.integers(1, 700),
         num_points=st.integers(1, 400),
         seed=st.integers(0, 1000),
     )
     @settings(max_examples=25, deadline=None)
-    def test_non_periodic_layouts_agree(self, layout, method, num_points, seed):
-        """Ghost-block (scatter-path) plans obey the same layout invariance."""
+    def test_non_periodic_chunking_never_changes_the_bits(
+        self, method, chunk, num_points, seed
+    ):
+        """Ghost-block (scatter-path) plans obey the same chunk invariance."""
         rng = np.random.default_rng(seed)
         block = rng.standard_normal((12, 11, 13))
         # interior points: the full stencil stays inside the block
         coords = rng.uniform(2.0, 8.0, size=(3, num_points))
         flat = block.reshape(1, -1)
-        reference = execute_stencil_plan(
-            flat, build_stencil_plan(block.shape, coords, method, periodic=False, layout="fat")
-        )
-        candidate = execute_stencil_plan(
-            flat, build_stencil_plan(block.shape, coords, method, periodic=False, layout=layout)
-        )
-        np.testing.assert_array_equal(candidate, reference)
-
-
-class TestTiledGatherInvariance:
-    """The PR-5 pin: tiling is invisible in the bits, on every backend."""
-
-    @given(
-        layout=st.sampled_from(PLAN_LAYOUTS),
-        method=st.sampled_from(SUPPORTED_METHODS),
-        tiled=st.booleans(),
-        backend=st.sampled_from(available_backends()),
-        num_points=st.integers(1, 500),
-        seed=st.integers(0, 1000),
-    )
-    @settings(max_examples=40, deadline=None)
-    def test_layout_tiling_backend_never_change_the_bits(
-        self, layout, method, tiled, backend, num_points, seed
-    ):
-        """Random layout x tiled/resident x gather engine: every combination
-        produces the bits of that engine's resident fat-plan gather."""
-        engine = get_backend(backend)
-        fields = _field_stack(seed).reshape(2, *SHAPE)
-        coords = _coords(seed, num_points)
-        ref_payload = (
-            build_stencil_plan(SHAPE, coords, method, layout="fat")
-            if engine.supports_plan(method)
-            else None
-        )
-        reference = engine.gather(fields, coords, ref_payload, method)
-        payload = (
-            build_stencil_plan(SHAPE, coords, method, layout=layout)
-            if engine.supports_plan(method)
-            else None
-        )
-        candidate_fields = ArrayFieldSource(fields) if tiled else fields
-        candidate = engine.gather(candidate_fields, coords, payload, method)
-        np.testing.assert_array_equal(candidate, reference)
-
-    @given(
-        layout=st.sampled_from(PLAN_LAYOUTS),
-        method=st.sampled_from(SUPPORTED_METHODS),
-        chunk=st.integers(1, 700),
-        num_points=st.integers(1, 500),
-        seed=st.integers(0, 1000),
-    )
-    @settings(max_examples=25, deadline=None)
-    def test_tiled_executor_matches_resident_across_chunks(
-        self, layout, method, chunk, num_points, seed
-    ):
-        """The executor-level sweep: tiled == resident for every layout and
-        chunk size (the tile set changes with the chunking; the bits don't)."""
-        flat = _field_stack(seed)
-        coords = _coords(seed, num_points)
-        plan = build_stencil_plan(SHAPE, coords, method, layout=layout)
-        resident = execute_stencil_plan(flat, plan, chunk=chunk)
-        source = ArrayFieldSource(flat.reshape(2, *SHAPE))
-        tiled = execute_stencil_plan(source, plan, chunk=chunk)
-        np.testing.assert_array_equal(tiled, resident)
+        plan = build_stencil_plan(block.shape, coords, method, periodic=False)
+        candidate = execute_stencil_plan(flat, plan, chunk=chunk)
+        np.testing.assert_array_equal(candidate, _one_chunk_reference(flat, plan))
 
 
 class TestChunkProtocolProperties:
-    @given(
-        layout=st.sampled_from(PLAN_LAYOUTS),
-        num_points=st.integers(0, 2000),
-        chunk=st.integers(1, 512),
-    )
+    @given(num_points=st.integers(0, 2000), chunk=st.integers(1, 512))
     @settings(max_examples=50, deadline=None)
-    def test_spans_partition_the_point_range(self, layout, num_points, chunk):
+    def test_spans_partition_the_point_range(self, num_points, chunk):
         """iter_chunks always yields a disjoint ascending cover of [0, M)."""
         plan = build_stencil_plan(
-            SHAPE, _coords(0, num_points) if num_points else np.empty((3, 0)), "linear",
-            layout=layout,
+            SHAPE, _coords(0, num_points) if num_points else np.empty((3, 0)), "linear"
         )
         spans = plan.iter_chunks(chunk)
         assert sum(hi - lo for lo, hi in spans) == num_points
@@ -165,10 +97,9 @@ class TestChunkProtocolProperties:
 
     @given(num_points=st.integers(0, 60_000))
     @settings(max_examples=30, deadline=None)
-    def test_streaming_resident_bytes_capped_at_one_chunk(self, num_points):
-        """nbytes of a streaming plan is min(M, chunk) scratch — never O(M)."""
+    def test_resident_bytes_capped_at_one_chunk(self, num_points):
+        """nbytes of a plan is min(M, chunk) scratch — never O(M)."""
         coords = np.zeros((3, num_points)) + 1.5
-        plan = build_stencil_plan(SHAPE, coords, "catmull_rom", layout="streaming")
-        assert isinstance(plan, StreamingStencilPlan)
+        plan = build_stencil_plan(SHAPE, coords, "catmull_rom")
         per_point = 3 * (np.dtype(np.intp).itemsize + np.dtype(np.float64).itemsize)
         assert plan.nbytes == per_point * min(num_points, STENCIL_CHUNK)
