@@ -30,6 +30,7 @@ import pytest
 
 from repro.core.problem import RegistrationProblem
 from repro.data.synthetic import synthetic_registration_problem, synthetic_velocity
+from repro.runtime.workers import INTERP_WORKERS_ENV_VAR, resolve_workers
 from repro.spectral.backends import available_backends
 from repro.spectral.fft import FourierTransform
 from repro.spectral.grid import Grid
@@ -207,17 +208,19 @@ def test_bench_fft_backend_comparison(record_text, record_json):
 # --------------------------------------------------------------------------- #
 # per-backend interpolation comparison (written to benchmarks/results/)
 # --------------------------------------------------------------------------- #
-def test_bench_interp_backend_comparison(record_text, record_json):
+def test_bench_interp_backend_comparison(record_text, record_json, monkeypatch):
     """Semi-Lagrangian interpolation at 128^3, per backend and gather mode.
 
     Times the production ``PeriodicInterpolator`` paths at realistic
     (grid-ordered, CFL-scale displaced) departure points: scalar vs batched
     and plan-cached vs uncached for every available gather engine, for both
-    tricubic kernels.  Produces the comparison table the ISSUE's acceptance
-    criterion asks for and asserts that the cached-plan batched path beats
-    the seed path (``scipy`` ``cubic_bspline``, scalar, uncached).  The
-    JSON twin additionally records plan-build vs execute time and the plan
-    bytes of every engine.
+    tricubic kernels, at the default interpolation width.  Produces the
+    backend comparison table and asserts that the cached-plan batched path
+    beats the seed path (``scipy`` ``cubic_bspline``, scalar, uncached, one
+    worker).  Two more rows time the default ``scipy`` ``cubic_bspline``
+    batched gather at one worker and at the default width: the threading
+    speedup of the default engine.  The JSON twin additionally records
+    plan-build vs execute time and the plan bytes of every engine.
     """
     n = INTERP_COMPARISON_N
     grid = Grid((n, n, n))
@@ -230,6 +233,8 @@ def test_bench_interp_backend_comparison(record_text, record_json):
         :, None
     ] * 3.0 * rng.standard_normal((3, grid.num_points))
 
+    monkeypatch.delenv(INTERP_WORKERS_ENV_VAR, raising=False)
+    default_width = resolve_workers("interp")
     timings = {}
     plan_bytes = {}
     for backend in available_interp_backends():
@@ -256,16 +261,38 @@ def test_bench_interp_backend_comparison(record_text, record_json):
             }
             plan_bytes[(backend, method)] = plan.nbytes
 
-    seed = timings[("scipy", "cubic_bspline")]["scalar, uncached"]
+    # the default engine at one worker (the seed's serial loop) and at the
+    # default width (all cores unless REPRO_WORKERS says otherwise), the
+    # width every other row runs at
+    default_interp = PeriodicInterpolator(grid, "cubic_bspline", backend="scipy")
+    default_plan = default_interp.plan(points)
+    widths = {}
+    for workers in sorted({1, default_width}):
+        monkeypatch.setenv(INTERP_WORKERS_ENV_VAR, str(workers))
+        widths[workers] = {
+            "scalar, uncached": _best_of(lambda: default_interp(field, points), repeats=3),
+            "batched(3), plan-cached": _best_of(
+                lambda: default_interp.interpolate_many_planned(fields, default_plan),
+                repeats=3,
+            )
+            / fields.shape[0],
+        }
+
+    seed = widths[1]["scalar, uncached"]
     header = (
         f"{'backend':<8} {'method':<14} {'mode':<24} {'time/field [s]':>14} {'vs seed':>8}"
     )
     rows = [
         f"semi-Lagrangian interpolation at {n}^3 ({grid.num_points} departure points, best of 3)",
-        "seed path = scipy cubic_bspline, scalar, uncached (the pre-subsystem default)",
+        "seed path = scipy cubic_bspline, scalar, uncached, 1 worker (the pre-subsystem default)",
+        f"rows without a worker count run at the default width ({default_width} workers)",
         header,
         "-" * len(header),
     ]
+    for workers, modes in widths.items():
+        mode = f"batched(3), {workers} worker{'s' if workers > 1 else ''}"
+        t = modes["batched(3), plan-cached"]
+        rows.append(f"{'scipy':<8} {'cubic_bspline':<14} {mode:<24} {t:>14.4f} {seed / t:>7.2f}x")
     for (backend, method), modes in timings.items():
         for mode in ("scalar, uncached", "scalar, plan-cached", "batched(3), plan-cached"):
             t = modes[mode]
@@ -283,8 +310,17 @@ def test_bench_interp_backend_comparison(record_text, record_json):
             "grid": [n, n, n],
             "num_points": grid.num_points,
             "repeats": "best of 3",
-            "seed_path": "scipy cubic_bspline, scalar, uncached",
+            "seed_path": "scipy cubic_bspline, scalar, uncached, 1 worker",
             "seed_seconds_per_field": seed,
+            "default_workers": default_width,
+            "scipy_cubic_bspline_by_workers": {
+                str(workers): {
+                    "scalar_uncached_seconds": modes["scalar, uncached"],
+                    "batched3_plan_cached_seconds_per_field": modes["batched(3), plan-cached"],
+                    "speedup_vs_seed": seed / modes["batched(3), plan-cached"],
+                }
+                for workers, modes in widths.items()
+            },
             "engines": {
                 f"{backend}/{method}": {
                     "plan_build_seconds": modes["build"],

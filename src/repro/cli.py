@@ -124,8 +124,9 @@ def _add_config_flags(sub: argparse.ArgumentParser) -> None:
         default=None,
         metavar="N",
         help=(
-            "shared worker count for threaded kernels (default: $REPRO_WORKERS; "
-            "per-subsystem $REPRO_FFT_WORKERS / $REPRO_INTERP_WORKERS / "
+            "shared positive worker count of the FFT, gather and service "
+            "threads (default: $REPRO_WORKERS, else all cores; per-subsystem "
+            "$REPRO_FFT_WORKERS / $REPRO_INTERP_WORKERS / "
             "$REPRO_SERVICE_WORKERS override it)"
         ),
     )

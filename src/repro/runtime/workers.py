@@ -19,13 +19,15 @@ Resolution precedence, first match wins::
     explicit argument > per-subsystem env > set_default_workers()
         > REPRO_WORKERS > subsystem default
 
-The subsystem defaults differ deliberately: FFT engines thread inside one
-C call and default to all cores (unchanged from PR 1); the stencil executor
-threads at the Python level over point chunks and defaults to ``1`` so the
-serial path stays bit-for-bit the PR-2 implementation unless the user opts
-in.  Thread pools are shared per size (:func:`get_executor`), so the FFT
-and interpolation subsystems never oversubscribe the machine with separate
-pools of the same width.
+Every subsystem defaults to all cores.  FFT engines thread inside one C
+call; the interpolation engines (the default ``map_coordinates`` gather and
+the stencil executor) split their points into chunks with disjoint outputs
+and run them on a shared pool, so a gather is bitwise independent of its
+worker count.  Thread pools are shared per size (:func:`get_executor`), so
+the FFT and interpolation subsystems never oversubscribe the machine with
+separate pools of the same width.  Worker counts must be positive: a zero
+or negative value in any of the variables above, or passed to
+:func:`set_default_workers`, raises :class:`ValueError`.
 """
 
 from __future__ import annotations
@@ -33,8 +35,7 @@ from __future__ import annotations
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
-from typing import Callable, Dict, Optional
+from typing import Dict, Optional
 
 #: Environment variable with the shared default worker count of every
 #: subsystem (overridden per subsystem by the variables below).
@@ -43,7 +44,7 @@ WORKERS_ENV_VAR = "REPRO_WORKERS"
 #: Per-subsystem override for the threaded FFT backends (PR-1 semantics).
 FFT_WORKERS_ENV_VAR = "REPRO_FFT_WORKERS"
 
-#: Per-subsystem override for the thread-pooled stencil executor.
+#: Per-subsystem override for the interpolation engines' point-chunk threads.
 INTERP_WORKERS_ENV_VAR = "REPRO_INTERP_WORKERS"
 
 #: Per-subsystem override for the registration service's job workers.
@@ -54,27 +55,15 @@ def _all_cores() -> int:
     return max(1, os.cpu_count() or 1)
 
 
-def _one() -> int:
-    return 1
-
-
-@dataclass(frozen=True)
-class SubsystemPolicy:
-    """Environment variable and fallback default of one subsystem."""
-
-    env_var: str
-    default: Callable[[], int]
-
-
-#: Known subsystems; future engines (GPU streams, distributed launchers)
-#: register here by adding a policy.
-SUBSYSTEMS: Dict[str, SubsystemPolicy] = {
-    "fft": SubsystemPolicy(FFT_WORKERS_ENV_VAR, _all_cores),
-    "interp": SubsystemPolicy(INTERP_WORKERS_ENV_VAR, _one),
-    # job-level fan-out of repro.service: every worker drives whole solves,
-    # so the default is one worker per core (the per-kernel subsystems
-    # above still bound the threading *inside* each solve)
-    "service": SubsystemPolicy(SERVICE_WORKERS_ENV_VAR, _all_cores),
+#: Known subsystems and their per-subsystem override variable; each defaults
+#: to all cores.  Future engines (GPU streams, distributed launchers)
+#: register here.  The service subsystem is the job-level fan-out of
+#: repro.service: every worker drives whole solves, while the per-kernel
+#: subsystems bound the threading *inside* each solve.
+SUBSYSTEMS: Dict[str, str] = {
+    "fft": FFT_WORKERS_ENV_VAR,
+    "interp": INTERP_WORKERS_ENV_VAR,
+    "service": SERVICE_WORKERS_ENV_VAR,
 }
 
 _default_workers: Optional[int] = None
@@ -92,7 +81,10 @@ def set_default_workers(workers: Optional[int]) -> None:
     if workers is None:
         _default_workers = None
         return
-    _default_workers = max(1, int(workers))
+    workers = int(workers)
+    if workers < 1:
+        raise ValueError(f"workers must be a positive count, got {workers}")
+    _default_workers = workers
 
 
 def _env_int(name: str) -> Optional[int]:
@@ -100,25 +92,28 @@ def _env_int(name: str) -> Optional[int]:
     if not value:
         return None
     try:
-        return max(1, int(value))
+        workers = int(value)
     except ValueError as exc:
         raise ValueError(f"{name} must be an integer worker count, got {value!r}") from exc
+    if workers < 1:
+        raise ValueError(f"{name} must be a positive worker count, got {value!r}")
+    return workers
 
 
 def resolve_workers(subsystem: str, explicit: Optional[int] = None) -> int:
     """Resolve the worker count of *subsystem* under the unified policy."""
     try:
-        policy = SUBSYSTEMS[subsystem]
+        env_var = SUBSYSTEMS[subsystem]
     except KeyError as exc:
         raise ValueError(
             f"unknown worker subsystem {subsystem!r}; known: {tuple(sorted(SUBSYSTEMS))}"
         ) from exc
     if explicit is not None:
         return max(1, int(explicit))
-    for resolved in (_env_int(policy.env_var), _default_workers, _env_int(WORKERS_ENV_VAR)):
+    for resolved in (_env_int(env_var), _default_workers, _env_int(WORKERS_ENV_VAR)):
         if resolved is not None:
             return resolved
-    return policy.default()
+    return _all_cores()
 
 
 def get_executor(workers: int) -> ThreadPoolExecutor:

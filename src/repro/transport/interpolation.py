@@ -40,6 +40,7 @@ import numpy as np
 
 from repro.observability.metrics import get_metrics_registry
 from repro.observability.trace import trace_span
+from repro.runtime.workers import resolve_workers
 from repro.spectral.grid import Grid
 from repro.transport.kernels import (
     SUPPORTED_METHODS,
@@ -174,6 +175,7 @@ class PeriodicInterpolator:
             count=batch,
             points=batch * plan.num_points,
             method=self.method,
+            workers=resolve_workers("interp"),
         ):
             return self.backend.gather(fields, plan.coordinates, plan.payload, self.method)
 

@@ -15,8 +15,11 @@ Backends
 --------
 ``"scipy"`` (default)
     :func:`scipy.ndimage.map_coordinates` for the ``cubic_bspline`` and
-    ``linear`` kernels (the seed implementation, bit-for-bit) and the shared
-    vectorized stencil executor for ``catmull_rom``.
+    ``linear`` kernels, bit-for-bit the seed implementation: each field is
+    B-spline prefiltered once (:func:`scipy.ndimage.spline_filter`), then
+    the points are gathered in contiguous chunks, both phases on the shared
+    thread pool.  The shared vectorized stencil executor serves
+    ``catmull_rom``.
 ``"numpy"``
     Fully vectorized stencil gather for every kernel.  ``cubic_bspline``
     uses an exact periodic B-spline prefilter (a diagonal Fourier-space
@@ -47,10 +50,11 @@ The cached stencil (:class:`StencilPlan`) stores nothing but a borrowed
 reference to the departure coordinates: the executor derives each chunk's
 base indices, fractional offsets, flat index parts and weights inside its
 cache-blocked loop, so the resident stencil memory is one chunk of scratch
-whatever the grid size.  The chunked executor is thread-pooled through the
-shared runtime (:mod:`repro.runtime.workers`, ``REPRO_INTERP_WORKERS`` /
-``REPRO_WORKERS``); neither the chunk size nor the worker count changes a
-bit of any gather.
+whatever the grid size.  Both the chunked executor and the
+``map_coordinates`` gather are thread-pooled through the shared runtime
+(:mod:`repro.runtime.workers`, ``REPRO_INTERP_WORKERS`` / ``REPRO_WORKERS``,
+all cores by default); neither the chunk size nor the worker count changes
+a bit of any gather.
 """
 
 from __future__ import annotations
@@ -163,6 +167,18 @@ def periodic_bspline_prefilter(fields: np.ndarray) -> np.ndarray:
 def _chunk_spans(num_points: int, chunk: int) -> Tuple[Tuple[int, int], ...]:
     """Disjoint, ascending ``[lo, hi)`` spans covering ``[0, num_points)``."""
     return tuple((lo, min(lo + chunk, num_points)) for lo in range(0, num_points, chunk))
+
+
+def _map_on_pool(fn: Callable, items, workers: int) -> list:
+    """``[fn(item) for item in items]`` on the shared pool of width *workers*.
+
+    Runs inline when there is one worker or at most one item.  Must be
+    called from outside the pool: a pool task that waits on other tasks of
+    the same pool can deadlock it.
+    """
+    if workers > 1 and len(items) > 1:
+        return list(get_executor(workers).map(fn, items))
+    return [fn(item) for item in items]
 
 
 def _derive_chunk_stencil(
@@ -367,19 +383,11 @@ def execute_stencil_plan(
         chunks=len(spans),
         workers=workers,
     ):
-        if workers > 1 and len(spans) > 1:
-            executor = get_executor(workers)
-            list(
-                executor.map(
-                    lambda span: _execute_stencil_chunk(
-                        flat_fields, plan, span[0], span[1], out
-                    ),
-                    spans,
-                )
-            )
-        else:
-            for lo, hi in spans:
-                _execute_stencil_chunk(flat_fields, plan, lo, hi, out)
+        _map_on_pool(
+            lambda span: _execute_stencil_chunk(flat_fields, plan, span[0], span[1], out),
+            spans,
+            workers,
+        )
     return out
 
 
@@ -465,12 +473,19 @@ class InterpolationBackend(Protocol):
 class ScipyInterpolationBackend:
     """:func:`scipy.ndimage.map_coordinates` engine (the seed implementation).
 
-    ``cubic_bspline`` and ``linear`` call ``map_coordinates`` per field
-    (bit-for-bit the seed numerics; no stencil can be cached because the
-    spline prefilter and the weight evaluation live inside the C call), so a
-    plan only reuses the wrapped coordinates.  ``catmull_rom`` — which scipy
-    has no native kernel for — runs through the shared stencil executor and
-    is fully plannable.
+    ``cubic_bspline`` and ``linear`` run in two phases on the shared pool of
+    ``resolve_workers("interp")`` threads: ``cubic_bspline`` first computes
+    the periodic spline coefficients of each field once
+    (:func:`scipy.ndimage.spline_filter`, one task per field), then every
+    task gathers one contiguous span of the points from all fields with
+    ``map_coordinates(..., prefilter=False)``.  Both scipy calls release
+    the GIL, and each output point depends only on its own coordinates, so
+    the result is bit-for-bit the seed's per-field ``map_coordinates`` loop
+    for any worker count, in the input field dtype.  No stencil is cached
+    (the weights are evaluated inside the C call), so a plan only reuses
+    the wrapped coordinates.  ``catmull_rom`` — which scipy has no native
+    kernel for — runs through the shared stencil executor and is fully
+    plannable.
     """
 
     name = "scipy"
@@ -513,13 +528,42 @@ class ScipyInterpolationBackend:
             plan = payload or build_stencil_plan(fields.shape[-3:], coordinates, method)
             return execute_stencil_plan(_as_flat_float64(fields), plan)
         order = self._ORDERS[method]
-        return np.stack(
-            [
-                self._ndimage.map_coordinates(field, coordinates, order=order, mode="grid-wrap")
-                for field in fields
-            ],
-            axis=0,
-        )
+        ndimage = self._ndimage
+        workers = resolve_workers("interp")
+        # Both phases are dispatched from this (the caller's) thread and never
+        # from inside a pool task, so concurrent callers sharing the pool
+        # cannot deadlock waiting on each other's queued work.
+        # Every buffer is allocated here, one per field as in the seed loop,
+        # never in a pool thread: per-thread malloc arenas and one large
+        # stacked buffer both raised the peak RSS of a solve by ~5 %.
+        num_points = coordinates.shape[1]
+        outs = [np.empty(num_points, dtype=fields.dtype) for _ in fields]
+        coeffs = fields
+        if order > 1:
+            coeffs = [np.empty(fields.shape[1:], dtype=np.float64) for _ in fields]
+            _map_on_pool(
+                lambda i: ndimage.spline_filter(
+                    fields[i], order=order, output=coeffs[i], mode="grid-wrap"
+                ),
+                range(fields.shape[0]),
+                workers,
+            )
+
+        def gather_span(span: Tuple[int, int]) -> None:
+            lo, hi = span
+            for coeff, out in zip(coeffs, outs):
+                ndimage.map_coordinates(
+                    coeff,
+                    coordinates[:, lo:hi],
+                    order=order,
+                    mode="grid-wrap",
+                    prefilter=False,
+                    output=out[lo:hi],
+                )
+
+        span_len = max(1, -(-num_points // workers))  # ceil: at most `workers` spans
+        _map_on_pool(gather_span, _chunk_spans(num_points, span_len), workers)
+        return np.stack(outs, axis=0)
 
 
 class NumpyInterpolationBackend:

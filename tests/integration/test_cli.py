@@ -156,6 +156,21 @@ class TestRegisterCommand:
         assert main(["register", "--synthetic", "12"]) == 2
         assert INTERP_WORKERS_ENV_VAR in capsys.readouterr().err
 
+    def test_non_positive_worker_env_vars_are_clean_errors(self, capsys, monkeypatch):
+        from repro.runtime import INTERP_WORKERS_ENV_VAR, WORKERS_ENV_VAR
+
+        monkeypatch.setenv(INTERP_WORKERS_ENV_VAR, "0")
+        assert main(["register", "--synthetic", "12"]) == 2
+        assert INTERP_WORKERS_ENV_VAR in capsys.readouterr().err
+        monkeypatch.delenv(INTERP_WORKERS_ENV_VAR)
+        monkeypatch.setenv(WORKERS_ENV_VAR, "-4")
+        assert main(["register", "--synthetic", "12"]) == 2
+        assert WORKERS_ENV_VAR in capsys.readouterr().err
+
+    def test_non_positive_workers_flag_is_a_clean_error(self, capsys):
+        assert main(["register", "--synthetic", "12", "--workers", "0"]) == 2
+        assert "workers must be a positive count" in capsys.readouterr().err
+
     def test_unavailable_interp_backend_is_a_clean_error(self, capsys):
         try:
             import numba  # noqa: F401
@@ -404,6 +419,10 @@ class TestObservabilityCLI:
         from repro.runtime.workers import INTERP_WORKERS_ENV_VAR
 
         monkeypatch.setenv(INTERP_WORKERS_ENV_VAR, "many")
+        code = main(["serve", "--synthetic", "8", "--subjects", "1"])
+        assert code == 2
+        assert INTERP_WORKERS_ENV_VAR in capsys.readouterr().err
+        monkeypatch.setenv(INTERP_WORKERS_ENV_VAR, "0")
         code = main(["serve", "--synthetic", "8", "--subjects", "1"])
         assert code == 2
         assert INTERP_WORKERS_ENV_VAR in capsys.readouterr().err

@@ -38,7 +38,9 @@ def clean_policy(monkeypatch):
 class TestResolution:
     def test_subsystem_defaults(self):
         assert resolve_workers("fft") == max(1, os.cpu_count() or 1)
-        assert resolve_workers("interp") == 1  # serial unless opted in
+        # threaded by default, like the FFT engines: the gather is bitwise
+        # independent of its worker count
+        assert resolve_workers("interp") == max(1, os.cpu_count() or 1)
 
     def test_shared_env_var_applies_to_every_subsystem(self, monkeypatch):
         monkeypatch.setenv(WORKERS_ENV_VAR, "3")
@@ -67,10 +69,29 @@ class TestResolution:
         monkeypatch.setenv(FFT_WORKERS_ENV_VAR, "5")
         assert resolve_workers("fft", explicit=2) == 2
 
-    def test_counts_clamped_to_at_least_one(self, monkeypatch):
-        monkeypatch.setenv(WORKERS_ENV_VAR, "0")
-        assert resolve_workers("interp") == 1
+    def test_explicit_counts_clamped_to_at_least_one(self):
         assert resolve_workers("fft", explicit=-3) == 1
+
+    @pytest.mark.parametrize(
+        "var", [WORKERS_ENV_VAR, INTERP_WORKERS_ENV_VAR, FFT_WORKERS_ENV_VAR]
+    )
+    @pytest.mark.parametrize("value", ["0", "-4"])
+    def test_non_positive_env_counts_rejected(self, monkeypatch, var, value):
+        monkeypatch.setenv(var, value)
+        subsystem = "fft" if var == FFT_WORKERS_ENV_VAR else "interp"
+        with pytest.raises(ValueError, match=var):
+            resolve_workers(subsystem)
+
+    def test_non_integer_env_counts_rejected(self, monkeypatch):
+        monkeypatch.setenv(INTERP_WORKERS_ENV_VAR, "two")
+        with pytest.raises(ValueError, match=INTERP_WORKERS_ENV_VAR):
+            resolve_workers("interp")
+
+    @pytest.mark.parametrize("value", [0, -4])
+    def test_non_positive_default_rejected(self, value):
+        with pytest.raises(ValueError, match="workers must be a positive count"):
+            set_default_workers(value)
+        assert resolve_workers("interp") == max(1, os.cpu_count() or 1)
 
     def test_unknown_subsystem_rejected(self):
         with pytest.raises(ValueError, match="unknown worker subsystem"):
