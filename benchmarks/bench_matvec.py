@@ -1,60 +1,52 @@
-"""Hessian mat-vec cost pins: the per-iterate gradient cache (16^3, nt = 4).
+"""Hessian mat-vec cost pins: the per-iterate gradient stack (16^3, nt = 4).
 
 The paper prices one Gauss-Newton Hessian mat-vec at ``8 nt`` FFTs +
-``4 nt`` interpolation sweeps (Sec. III-C4).  The per-iterate gradient
-cache (:mod:`repro.core.gradients`) amortizes every state-gradient
-transform into ``linearize``, so this bench pins — counter-exact, no
-timers involved —
+``4 nt`` interpolation sweeps (Sec. III-C4).  ``linearize`` builds the
+iterate's state-gradient stack once (:mod:`repro.core.gradients`), so this
+bench pins — counter-exact, no timers involved, on every available FFT
+backend —
 
-* a **warm cached mat-vec performs zero spectral-gradient FFTs** (only the
-  regularizer's 6 transforms remain; full Newton keeps the per-direction
-  ``rho~`` gradients and drops from ``16(nt+1)+6`` to ``8(nt+1)+6``),
-* the **uncached opt-out restores the paper's figure** ``8(nt+1)+6``
-  exactly, and building the cache adds zero transforms to ``linearize``,
-* results are **bitwise identical cached vs uncached** on every available
-  FFT backend (the cache reuses FFT outputs, it never changes them), and
-* the cache **degrades cleanly (and logs the decision)** when the
-  ``REPRO_PLAN_POOL_BYTES`` budget cannot hold the stack.
+* a **Gauss-Newton mat-vec performs zero spectral-gradient FFTs** (only the
+  regularizer's 6 transforms remain),
+* a **full-Newton mat-vec** costs ``8(nt+1)+6``: the per-direction ``rho~``
+  gradients and ``div(lam v~)`` sources, ``4(nt+1)`` each,
+* **``linearize``** costs ``4(nt+1) + 16`` transforms (36 at ``nt = 4``): one
+  stack build plus ``div v`` and the regularizer's gradient and energy,
+* every mat-vec sweeps the grid the paper's ``4 nt`` times, and
+* every mat-vec of one iterate costs the same.
 
-Cold-vs-warm wall time is reported alongside (and pinned loosely;
-``REPRO_BENCH_NONSTRICT=1`` downgrades a timing loss to a skip for noisy
-shared runners — the counter pins always stay hard).  Artifacts go to
+The mat-vec wall time is reported alongside, unpinned.  Artifacts go to
 ``benchmarks/results/matvec_gradient_cache.{txt,json}``.
 """
 
 from __future__ import annotations
 
-import os
 import time
 
 import numpy as np
-import pytest
 
 from repro.analysis.reporting import format_rows
-from repro.core.gradients import (
-    gradient_cache_decision_log,
-    set_gradient_cache_enabled,
-)
 from repro.core.problem import RegistrationProblem
 from repro.data.synthetic import synthetic_registration_problem, synthetic_velocity
-from repro.runtime.plan_pool import configure_plan_pool, get_plan_pool, reset_plan_pool
+from repro.runtime.plan_pool import reset_plan_pool
 from repro.spectral.backends import available_backends as available_fft_backends
 
 RESOLUTION = 16
 NUM_TIME_STEPS = 4
 
-#: FFT transforms of a warm cached Gauss-Newton mat-vec: the regularizer's
-#: batched mat-vec and nothing else — zero spectral-gradient FFTs.
-WARM_GN_TRANSFORMS = 6
-
-#: Loose wall-clock pin: a warm cached mat-vec must not be slower than the
-#: uncached one beyond timer noise (it does strictly less spectral work).
-WARM_SPEEDUP_FLOOR = 0.9
+#: FFT transforms of a Gauss-Newton mat-vec: the regularizer's batched
+#: mat-vec and nothing else — zero spectral-gradient FFTs.
+GAUSS_NEWTON_TRANSFORMS = 6
 
 
-def _uncached_transforms(nt: int, gauss_newton: bool = True) -> int:
-    """The paper-mode transform count (one forward/inverse pair = 2)."""
-    return (8 if gauss_newton else 16) * (nt + 1) + 6
+def _full_newton_transforms(nt: int) -> int:
+    """Regularizer plus the two per-direction batches of ``4(nt+1)`` transforms."""
+    return 8 * (nt + 1) + 6
+
+
+def _linearize_transforms(nt: int) -> int:
+    """One stack build ``4(nt+1)``, ``div v`` (4), regularizer gradient + energy (6 + 6)."""
+    return 4 * (nt + 1) + 16
 
 
 def _build_problem(fft_backend="numpy", gauss_newton=True) -> RegistrationProblem:
@@ -79,9 +71,8 @@ def _velocity(problem, amplitude=0.3, shift=0):
     return field
 
 
-def _measure_mode(cached, fft_backend="numpy", gauss_newton=True):
-    """linearize + 2 mat-vecs in one cache mode; counters and wall times."""
-    set_gradient_cache_enabled(cached)
+def _measure(fft_backend="numpy", gauss_newton=True):
+    """linearize + 3 mat-vecs of one iterate; counters and wall times."""
     reset_plan_pool()
     problem = _build_problem(fft_backend=fft_backend, gauss_newton=gauss_newton)
     velocity = _velocity(problem)
@@ -93,23 +84,21 @@ def _measure_mode(cached, fft_backend="numpy", gauss_newton=True):
 
     timings = []
     deltas = []
-    matvec = None
     for _ in range(3):
         before = problem.work_counters()
         start = time.perf_counter()
-        matvec = problem.hessian_matvec(iterate, direction)
+        problem.hessian_matvec(iterate, direction)
         timings.append(time.perf_counter() - start)
         deltas.append(problem.work_counters() - before)
 
-    # every mat-vec of one iterate costs the same — the cache is built by
-    # linearize, never lazily by the first mat-vec
-    assert all(d.fft_transforms == deltas[0].fft_transforms for d in deltas)
-    set_gradient_cache_enabled(None)
     return {
-        "gradient": iterate.gradient,
-        "matvec": matvec,
-        "linearize_transforms": linearize_transforms,
-        "matvec_transforms": deltas[0].fft_transforms,
+        "fft_backend": fft_backend,
+        "hessian": "gauss-newton" if gauss_newton else "full-newton",
+        "linearize_ffts": linearize_transforms,
+        "matvec_ffts": deltas[0].fft_transforms,
+        "matvec_ffts_constant": all(
+            d.fft_transforms == deltas[0].fft_transforms for d in deltas
+        ),
         "matvec_sweeps": deltas[0].interpolation_sweeps(problem.grid.num_points),
         "matvec_seconds": min(timings),
     }
@@ -117,91 +106,22 @@ def _measure_mode(cached, fft_backend="numpy", gauss_newton=True):
 
 def test_matvec_gradient_cache(benchmark, record_text, record_json):
     def measure():
-        modes = {
-            (cached, gn): _measure_mode(cached, gauss_newton=gn)
-            for cached in (True, False)
+        return [
+            _measure(fft_backend=backend, gauss_newton=gn)
+            for backend in available_fft_backends()
             for gn in (True, False)
-        }
+        ]
 
-        # bitwise identity on every FFT backend
-        identity_cells = []
-        for backend in available_fft_backends():
-            warm = _measure_mode(True, fft_backend=backend)
-            cold = _measure_mode(False, fft_backend=backend)
-            identity_cells.append(
-                {
-                    "fft_backend": backend,
-                    "gradient_identical": bool(
-                        np.array_equal(warm["gradient"], cold["gradient"])
-                    ),
-                    "matvec_identical": bool(
-                        np.array_equal(warm["matvec"], cold["matvec"])
-                    ),
-                    "warm_transforms": warm["matvec_transforms"],
-                    "cold_transforms": cold["matvec_transforms"],
-                }
-            )
-
-        # budget fallback: a pool too small for the stack degrades (logged)
-        gradient_cache_decision_log().reset()
-        problem = _build_problem()
-        state_nbytes = (NUM_TIME_STEPS + 1) * problem.template.nbytes
-        try:
-            configure_plan_pool(3 * state_nbytes - 1)
-            set_gradient_cache_enabled(True)
-            iterate = problem.linearize(_velocity(problem))
-            fallback_decision = gradient_cache_decision_log().recent()[-1]
-            fallback_cached = iterate.state_gradients.cached
-        finally:
-            configure_plan_pool(None)
-            set_gradient_cache_enabled(None)
-            reset_plan_pool()
-
-        # pool accounting of a cached run
-        set_gradient_cache_enabled(True)
-        reset_plan_pool()
-        problem = _build_problem()
-        problem.linearize(_velocity(problem))
-        grad_cache_stats = get_plan_pool().stats_by_tag()["grad-cache"]
-        set_gradient_cache_enabled(None)
-
-        return {
-            "modes": modes,
-            "identity_cells": identity_cells,
-            "fallback_decision": fallback_decision,
-            "fallback_cached": fallback_cached,
-            "grad_cache_bytes": grad_cache_stats.current_bytes,
-            "expected_stack_bytes": 3 * state_nbytes,
-        }
-
-    m = benchmark.pedantic(measure, rounds=1, iterations=1)
-    modes = m["modes"]
-    warm_gn, cold_gn = modes[(True, True)], modes[(False, True)]
-    warm_fn, cold_fn = modes[(True, False)], modes[(False, False)]
-
-    rows = [
-        {
-            "hessian": "gauss-newton" if gn else "full-newton",
-            "cache": "warm" if cached else "uncached",
-            "matvec_ffts": mode["matvec_transforms"],
-            "matvec_sweeps": mode["matvec_sweeps"],
-            "linearize_ffts": mode["linearize_transforms"],
-            "matvec_seconds": mode["matvec_seconds"],
-        }
-        for (cached, gn), mode in sorted(modes.items(), reverse=True)
-    ]
-    speedup = cold_gn["matvec_seconds"] / max(warm_gn["matvec_seconds"], 1e-12)
+    rows = benchmark.pedantic(measure, rounds=1, iterations=1)
     record_text(
         "matvec_gradient_cache",
         format_rows(
             rows,
             title=(
-                f"Hessian mat-vec cost, gradient cache warm vs uncached "
+                f"Hessian mat-vec cost with the per-iterate gradient stack "
                 f"({RESOLUTION}^3, nt = {NUM_TIME_STEPS})"
             ),
-        )
-        + f"\n\nwarm/cold GN mat-vec wall-time speedup: {speedup:.2f}x"
-        + f"\nfallback decision: {m['fallback_decision'].reason}",
+        ),
     )
     record_json(
         "matvec_gradient_cache",
@@ -209,50 +129,18 @@ def test_matvec_gradient_cache(benchmark, record_text, record_json):
             "grid": [RESOLUTION] * 3,
             "num_time_steps": NUM_TIME_STEPS,
             "matvec_cost": rows,
-            "warm_speedup": speedup,
-            "identity_matrix": m["identity_cells"],
-            "fallback": {
-                "cached": m["fallback_cached"],
-                "reason": m["fallback_decision"].reason,
-                "projected_bytes": m["fallback_decision"].projected_bytes,
-                "budget_bytes": m["fallback_decision"].budget_bytes,
-            },
-            "grad_cache_pool_bytes": m["grad_cache_bytes"],
         },
     )
 
-    # --- counter-exact pins (always hard, timer-free) ---------------------- #
+    # --- counter-exact pins (timer-free) ----------------------------------- #
     nt = NUM_TIME_STEPS
-    # warm GN mat-vec: zero spectral-gradient FFTs, regularizer only
-    assert warm_gn["matvec_transforms"] == WARM_GN_TRANSFORMS
-    # the paper-mode pin survives via the opt-out
-    assert cold_gn["matvec_transforms"] == _uncached_transforms(nt)
-    assert warm_fn["matvec_transforms"] == _uncached_transforms(nt)
-    assert cold_fn["matvec_transforms"] == _uncached_transforms(nt, gauss_newton=False)
-    # the cache build is free: linearize costs the same either way
-    assert warm_gn["linearize_transforms"] == cold_gn["linearize_transforms"]
-    # interpolation work is untouched by the cache
-    assert warm_gn["matvec_sweeps"] == cold_gn["matvec_sweeps"] == 4 * nt
-
-    # --- bitwise identity across backends ----------------------------------- #
-    for cell in m["identity_cells"]:
-        assert cell["gradient_identical"] and cell["matvec_identical"], cell
-        assert cell["warm_transforms"] == WARM_GN_TRANSFORMS
-        assert cell["cold_transforms"] == _uncached_transforms(nt)
-
-    # --- budget fallback ---------------------------------------------------- #
-    assert not m["fallback_cached"]
-    assert not m["fallback_decision"].cached
-    assert "exceeds the plan-pool budget" in m["fallback_decision"].reason
-    # cached runs account the stack exactly under the grad-cache tag
-    assert m["grad_cache_bytes"] == m["expected_stack_bytes"]
-
-    # --- wall-clock pin (NONSTRICT downgrades to skip) ---------------------- #
-    if speedup < WARM_SPEEDUP_FLOOR:
-        message = (
-            f"warm cached mat-vec speedup {speedup:.2f}x fell below "
-            f"{WARM_SPEEDUP_FLOOR}x over the uncached path"
+    for row in rows:
+        expected = (
+            GAUSS_NEWTON_TRANSFORMS
+            if row["hessian"] == "gauss-newton"
+            else _full_newton_transforms(nt)
         )
-        if os.environ.get("REPRO_BENCH_NONSTRICT"):
-            pytest.skip(message)
-        raise AssertionError(message)
+        assert row["matvec_ffts"] == expected, row
+        assert row["matvec_ffts_constant"], row
+        assert row["linearize_ffts"] == _linearize_transforms(nt) == 36, row
+        assert row["matvec_sweeps"] == 4 * nt, row

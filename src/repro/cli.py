@@ -55,7 +55,6 @@ import numpy as np
 from repro.analysis.experiments import reproduce_scaling_table
 from repro.analysis.reporting import format_breakdown_table, format_rows
 from repro.config import RegistrationConfig, env_http_port
-from repro.core.gradients import gradient_cache_decision_log
 from repro.core.optim.gauss_newton import SolverOptions
 from repro.core.registration import RegistrationSolver
 from repro.data.brain import brain_registration_pair
@@ -381,20 +380,6 @@ def _run_register(
             print(
                 f"  {tag}: {tag_stats.hits} hits, {tag_stats.misses} misses, "
                 f"{tag_stats.entries} entries, {tag_stats.current_bytes} bytes"
-            )
-        cache_decisions = gradient_cache_decision_log()
-        if cache_decisions.total:
-            counts = ", ".join(
-                f"{mode}: {count}"
-                for mode, count in cache_decisions.counts().items()
-            )
-            print(
-                f"gradient cache: {cache_decisions.total} decisions ({counts})"
-            )
-            last = cache_decisions.recent()[-1]
-            print(
-                f"  last: {last.mode} for {last.num_levels} levels "
-                f"({last.reason})"
             )
         phase_table = format_phase_table()
         if phase_table:

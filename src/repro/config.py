@@ -12,7 +12,7 @@ accepts:
   configuration (useful for artifacts: "what configuration produced this
   result"),
 * :meth:`RegistrationConfig.apply` validates every field and pushes the
-  process-wide ones (worker default, pool budget, gradient cache, tracing)
+  process-wide ones (worker default, pool budget, tracing)
   into the runtime — fields left at ``None`` keep the
   environment/default behavior untouched,
 * :meth:`RegistrationConfig.replace` derives a variant (the CLI layers its
@@ -145,11 +145,6 @@ class RegistrationConfig:
     plan_pool_bytes:
         Byte budget of the shared execution-plan pool (``0`` disables
         caching).
-    gradient_cache:
-        Enable the per-iterate state-gradient cache
-        (:mod:`repro.core.gradients`; the ``REPRO_GRADIENT_CACHE`` knob).
-        ``False`` restores the paper's uncached ``8 nt``-FFT mat-vec cost
-        model; results are bitwise identical either way.
     trace:
         Enable structured tracing spans (the ``REPRO_TRACE`` / ``--trace``
         knob).  Applying ``trace=True`` turns the process-wide recorder on;
@@ -166,7 +161,6 @@ class RegistrationConfig:
     interp_backend: Optional[str] = None
     workers: Optional[int] = None
     plan_pool_bytes: Optional[int] = None
-    gradient_cache: Optional[bool] = None
     trace: Optional[bool] = None
     trace_out: Optional[str] = None
 
@@ -191,16 +185,11 @@ class RegistrationConfig:
         changes later.  Malformed environment values raise here with the
         valid choices, exactly as they would at solve time.
         """
-        # imported lazily: repro.core.registration imports this module, so a
-        # top-level import of repro.core.* here would be circular
-        from repro.core.gradients import gradient_cache_enabled
-
         return cls(
             fft_backend=fft_backends.default_backend_name(),
             interp_backend=interp_kernels.default_backend_name(),
             workers=resolve_workers("service"),
             plan_pool_bytes=get_plan_pool().max_bytes,
-            gradient_cache=gradient_cache_enabled(),
             trace=tracing_enabled() or bool(env_trace_enabled()),
             trace_out=env_trace_out(),
         )
@@ -220,10 +209,7 @@ class RegistrationConfig:
         """
         fft_backends.get_backend(self.fft_backend)
         interp_kernels.get_backend(self.interp_backend)
-        from repro.core.gradients import env_gradient_cache_enabled
-
-        env_gradient_cache_enabled()  # validate $REPRO_GRADIENT_CACHE
-        env_pool_budget()  # ... and $REPRO_PLAN_POOL_BYTES
+        env_pool_budget()  # validate $REPRO_PLAN_POOL_BYTES
         env_trace_enabled()  # ... and $REPRO_TRACE
         env_http_port()  # ... and $REPRO_HTTP_PORT
         env_service_class_weights()  # ... and $REPRO_SERVICE_CLASS_WEIGHTS
@@ -244,10 +230,6 @@ class RegistrationConfig:
             set_default_workers(self.workers)
         if self.plan_pool_bytes is not None:
             configure_plan_pool(self.plan_pool_bytes)
-        if self.gradient_cache is not None:
-            from repro.core.gradients import set_gradient_cache_enabled
-
-            set_gradient_cache_enabled(self.gradient_cache)
         if self.trace is not None:
             if self.trace:
                 enable_tracing()

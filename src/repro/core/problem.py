@@ -26,11 +26,8 @@ from typing import Dict, Optional
 import numpy as np
 
 from repro.core.gradients import (
-    CachedStateGradients,
-    StateGradients,
     accumulate_weighted_products,
-    gradient_levels_of,
-    plan_state_gradients,
+    build_gradient_stack,
     trapezoid_weights,
 )
 from repro.core.regularization import make_regularization
@@ -71,10 +68,10 @@ class OuterIterate:
     gradient: np.ndarray
     gradient_norm: float
     residual: np.ndarray
-    #: Iterate-scoped source of the state-history gradients (cached stack or
-    #: lazy recomputation, :mod:`repro.core.gradients`).  ``None`` on
-    #: hand-built iterates — every consumer then degrades to the lazy path.
-    state_gradients: Optional[StateGradients] = None
+    #: Read-only ``(nt+1, 3, N1, N2, N3)`` stack of ``grad rho(., t_j)``,
+    #: built once by :meth:`RegistrationProblem.linearize` and indexed by
+    #: every consumer (:mod:`repro.core.gradients`).
+    state_gradients: np.ndarray
 
     @property
     def deformed_template(self) -> np.ndarray:
@@ -252,12 +249,12 @@ class RegistrationProblem:
         residual = self.reference - deformed
         adjoint_history = self.transport.solve_adjoint(plan, residual)
 
-        # Materialize (or lazily alias) the state-history gradients once for
-        # the whole iterate: the body force below, every Hessian mat-vec of
-        # the inner PCG solve, and the incremental-state right-hand sides
-        # all consume the same nt + 1 gradient fields.
-        state_gradients = plan_state_gradients(self.operators, state_history)
-        body_force = self._body_force(state_history, adjoint_history, state_gradients)
+        # Build the state-history gradients once for the whole iterate: the
+        # body force below, every Hessian mat-vec of the inner PCG solve, and
+        # the incremental-state right-hand sides all consume the same nt + 1
+        # gradient fields.
+        state_gradients = build_gradient_stack(self.operators, state_history)
+        body_force = self._body_force(adjoint_history, state_gradients)
         gradient = self.regularizer.gradient(velocity) + self.project(body_force)
         if self.incompressible:
             # keep the full gradient in the divergence-free subspace
@@ -279,29 +276,20 @@ class RegistrationProblem:
             state_gradients=state_gradients,
         )
 
-    #: Trapezoidal quadrature weights on ``nt + 1`` uniform time levels
-    #: (kept as a static method for the existing call sites and tests).
-    _trapezoid_weights = staticmethod(trapezoid_weights)
-
     def _body_force(
-        self,
-        state_history: np.ndarray,
-        adjoint_history: np.ndarray,
-        state_gradients: Optional[StateGradients] = None,
+        self, adjoint_history: np.ndarray, state_gradients: np.ndarray
     ) -> np.ndarray:
         """Time integral ``b = int_0^1 lam grad rho dt`` (vector field).
 
         Accumulated level by level to avoid storing the full space-time
         integrand (which would double the memory footprint of the stored
-        state/adjoint histories); the gradients come from the iterate's
-        shared source when one is supplied.
+        state/adjoint histories).
         """
-        nt = state_history.shape[0] - 1
-        gradients = gradient_levels_of(self.operators, state_history, state_gradients)
-        with trace_span("problem.body_force", nt=nt, cached=gradients.cached):
+        nt = adjoint_history.shape[0] - 1
+        with trace_span("problem.body_force", nt=nt):
             return accumulate_weighted_products(
                 trapezoid_weights(nt),
-                [(adjoint_history, gradients)],
+                [(adjoint_history, state_gradients)],
                 out=self.grid.zeros_vector(),
             )
 
@@ -312,20 +300,18 @@ class RegistrationProblem:
         """Apply the (Gauss-)Newton Hessian at *iterate* to *direction*.
 
         Requires two transport solves (incremental state forward,
-        incremental adjoint backward); with the iterate's state gradients
-        cached (:mod:`repro.core.gradients`) a Gauss-Newton mat-vec performs
-        **zero** spectral-gradient FFTs — only the regularizer's ``6``
-        transforms remain of the paper's ``8 nt`` figure (Sec. III-C4),
-        which stays the cost of the uncached fallback.  The interpolation
-        cost (``4 nt`` sweeps) is unchanged either way.
+        incremental adjoint backward).  The state gradients come from the
+        iterate's stack (:mod:`repro.core.gradients`), so a Gauss-Newton
+        mat-vec performs **zero** spectral-gradient FFTs.  The paper's
+        ``8 nt`` figure (Sec. III-C4) recomputes those gradients twice per
+        mat-vec; here only the regularizer's ``6`` transforms remain.  The
+        interpolation cost is the paper's ``4 nt`` sweeps.
         """
         direction = check_velocity_shape(direction, self.grid.shape)
         direction = self.project(direction)
         self.hessian_matvec_count += 1
 
-        state_gradients = gradient_levels_of(
-            self.operators, iterate.state_history, iterate.state_gradients
-        )
+        state_gradients = iterate.state_gradients
         rho_tilde = self.transport.solve_incremental_state(
             iterate.plan, direction, iterate.state_history, state_gradients
         )
@@ -343,13 +329,8 @@ class RegistrationProblem:
             # full Newton adds int lam grad rho~ dt; rho~ changes with every
             # direction, so its gradients are computed fresh — fused over the
             # time axis into one batched transform pair
-            rho_tilde_gradients = CachedStateGradients(
-                self.operators.gradient_many(rho_tilde)
-            )
-            pairs.append((iterate.adjoint_history, rho_tilde_gradients))
-        with trace_span(
-            "problem.body_force_tilde", nt=nt, cached=state_gradients.cached
-        ):
+            pairs.append((iterate.adjoint_history, self.operators.gradient_many(rho_tilde)))
+        with trace_span("problem.body_force_tilde", nt=nt):
             body_force_tilde = accumulate_weighted_products(
                 trapezoid_weights(nt), pairs, out=self.grid.zeros_vector()
             )

@@ -35,6 +35,7 @@ from repro.runtime.plan_pool import PoolStats, get_plan_pool
 from repro.spectral.grid import Grid
 from repro.transport.deformation import DeformationMap
 from repro.utils.logging import get_logger
+from repro.utils.validation import check_finite_image
 
 LOGGER = get_logger("core.registration")
 
@@ -209,8 +210,8 @@ class RegistrationSolver:
     config:
         Consolidated execution configuration
         (:class:`repro.config.RegistrationConfig`).  When provided it is
-        applied process-wide (worker default, pool budget, gradient cache,
-        tracing) and supplies the FFT/interpolation engines unless
+        applied process-wide (worker default, pool budget, tracing) and
+        supplies the FFT/interpolation engines unless
         the explicit ``fft_backend``/``interp_backend`` arguments override
         them.
     """
@@ -257,6 +258,8 @@ class RegistrationSolver:
             raise ValueError(
                 f"grid shape {grid.shape} does not match the image shape {template.shape}"
             )
+        check_finite_image(template, "template")
+        check_finite_image(reference, "reference")
 
         if self.normalize:
             template = normalize_intensity(template)

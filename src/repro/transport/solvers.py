@@ -252,7 +252,7 @@ class TransportSolver:
         plan: TransportPlan,
         perturbation: np.ndarray,
         state_history: np.ndarray,
-        state_gradients: Optional[object] = None,
+        state_gradients: np.ndarray,
     ) -> np.ndarray:
         """Solve the incremental (linearized) state equation.
 
@@ -260,11 +260,9 @@ class TransportSolver:
         ``rho~(., 0) = 0``.  The right-hand side needs the gradient of the
         stored state history at the old and new time levels (four FFTs and
         two interpolations per time step, cf. Algorithm 2 of the paper);
-        passing the iterate's shared gradient source (*state_gradients*, any
-        object with a ``level(j)`` method — see
-        :class:`repro.core.gradients.StateGradients`; duck-typed to keep the
-        transport layer below the core) serves them from the per-iterate
-        cache — zero gradient FFTs on the Hessian mat-vec hot path.
+        they are read from *state_gradients*, the iterate's
+        ``(nt+1, 3, N1, N2, N3)`` stack of ``grad rho(., t_j)``, so the
+        Hessian mat-vec hot path performs zero gradient FFTs here.
         """
         perturbation = check_velocity_shape(perturbation, self.grid.shape)
         nt = plan.num_time_steps
@@ -273,13 +271,14 @@ class TransportSolver:
                 f"state history has shape {state_history.shape}, "
                 f"expected {(nt + 1, *self.grid.shape)}"
             )
-        ops = self.operators
+        if state_gradients.shape != (nt + 1, 3, *self.grid.shape):
+            raise ValueError(
+                f"state gradients have shape {state_gradients.shape}, "
+                f"expected {(nt + 1, 3, *self.grid.shape)}"
+            )
 
         def rhs(j: int) -> np.ndarray:
-            if state_gradients is not None:
-                grad_rho = state_gradients.level(j)
-            else:
-                grad_rho = ops.gradient(state_history[j])
+            grad_rho = state_gradients[j]
             return -(
                 perturbation[0] * grad_rho[0]
                 + perturbation[1] * grad_rho[1]

@@ -48,6 +48,16 @@ def check_shape_3d(shape: Sequence[int], name: str = "shape") -> Tuple[int, int,
     return shape  # type: ignore[return-value]
 
 
+def check_finite_image(image: np.ndarray, name: str) -> None:
+    """Raise if *image* holds a NaN or infinite voxel, naming how many."""
+    bad = image.size - int(np.count_nonzero(np.isfinite(image)))
+    if bad:
+        raise ValueError(
+            f"{name} image holds {bad} non-finite voxel(s) (NaN or inf); "
+            f"registration needs finite intensities"
+        )
+
+
 def check_same_shape(a: np.ndarray, b: np.ndarray, names: str = "arrays") -> None:
     """Raise if the two arrays do not share the same shape."""
     if a.shape != b.shape:

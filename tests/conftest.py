@@ -18,10 +18,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.gradients import (
-    gradient_cache_decision_log,
-    set_gradient_cache_enabled,
-)
 from repro.observability.trace import (
     disable_tracing,
     enable_tracing,
@@ -52,21 +48,17 @@ def _fresh_plan_pool():
     test run in isolation vs. in-suite) would depend on execution order.
     Entries and statistics are dropped; the byte budget (which the pressure
     CI leg sets via ``REPRO_PLAN_POOL_BYTES``) is left untouched.  The
-    process-wide worker and gradient-cache overrides and the gradient-cache
-    decision log are reset for the same reason: all are shared state a
-    test may set.  The tracing flag and span recorder are restored too, so
-    a test that enables tracing never leaks spans into the next.
+    process-wide worker override is reset for the same reason: it is
+    shared state a test may set.  The tracing flag and span recorder are
+    restored too, so a test that enables tracing never leaks spans into
+    the next.
     """
     trace_was_enabled = tracing_enabled()
     reset_plan_pool()
     set_default_workers(None)
-    set_gradient_cache_enabled(None)
-    gradient_cache_decision_log().reset()
     yield
     reset_plan_pool()
     set_default_workers(None)
-    set_gradient_cache_enabled(None)
-    gradient_cache_decision_log().reset()
     if trace_was_enabled:
         enable_tracing()
     else:

@@ -38,23 +38,28 @@ class TestConstruction:
         with pytest.raises(ValueError, match="plan_pool_bytes"):
             RegistrationConfig(plan_pool_bytes=-1)
 
-    def test_seven_fields(self):
+    def test_six_fields(self):
         assert list(RegistrationConfig().as_dict()) == [
             "fft_backend",
             "interp_backend",
             "workers",
             "plan_pool_bytes",
-            "gradient_cache",
             "trace",
             "trace_out",
         ]
 
     @pytest.mark.parametrize(
         "field, value",
-        [("plan_layout", "streaming"), ("auto_fraction", 0.25), ("field_source", "memmap")],
+        [
+            ("plan_layout", "streaming"),
+            ("auto_fraction", 0.25),
+            ("field_source", "memmap"),
+            ("gradient_cache", False),
+        ],
     )
     def test_removed_fields_are_rejected(self, field, value):
-        """One stencil plan, one resident field path: no layout or source knob."""
+        """One stencil plan, one resident field path, one gradient stack per
+        iterate: no layout, source or gradient-cache knob."""
         with pytest.raises(TypeError, match=field):
             RegistrationConfig(**{field: value})
 

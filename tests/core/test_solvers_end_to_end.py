@@ -209,6 +209,25 @@ class TestRegistrationFrontEnd:
         with pytest.raises(ValueError):
             solver.run(synthetic.template, synthetic.reference, grid=Grid((8, 8, 8)))
 
+    @pytest.mark.parametrize("image", ["template", "reference"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_image_fails_before_any_solve(self, synthetic, monkeypatch, image, bad):
+        """A NaN/inf voxel raises at build_problem; no mat-vec ever runs."""
+        matvecs = []
+        original = RegistrationProblem.hessian_matvec
+
+        def counting_matvec(problem, iterate, direction):
+            matvecs.append(problem)
+            return original(problem, iterate, direction)
+
+        monkeypatch.setattr(RegistrationProblem, "hessian_matvec", counting_matvec)
+        images = {"template": synthetic.template.copy(), "reference": synthetic.reference.copy()}
+        images[image][1, 2, 3] = bad
+        images[image][4, 5, 6] = bad
+        with pytest.raises(ValueError, match=f"{image} image holds 2 non-finite voxel"):
+            register(images["template"], images["reference"], options=quick_options())
+        assert matvecs == []
+
     def test_gradient_descent_front_end(self, synthetic):
         result = register(
             synthetic.template,

@@ -114,14 +114,13 @@ class TestRegistry:
 
 class TestProcessRegistry:
     def test_kernel_frontends_registered_their_collectors(self):
-        # importing the kernel layers registers the pull collectors for the
-        # plan pool and the gradient-cache decisions
+        # importing the kernel layers registers the plan pool's pull collector
         import repro.core.gradients  # noqa: F401
         import repro.runtime.plan_pool  # noqa: F401
 
         names = get_metrics_registry().collector_names()
         assert "plan_pool" in names
-        assert "gradient_cache_decisions" in names
+        assert "gradient_cache_decisions" not in names
         assert "field_sources" not in names
         assert "layout_decisions" not in names
 

@@ -210,8 +210,8 @@ class TestStepperPooling:
         problem.evaluate_objective(velocity)
         before = plan_pool.stats_by_tag()["semi-lagrangian-departure"]
         problem.linearize(velocity)
-        # scoped to the stepper tag: linearize additionally builds the
-        # iterate's grad-cache entry (a miss under the "grad-cache" tag)
+        # scoped to the stepper tag, the only kind of entry a solve pools
+        # (the iterate's gradient stack is a plain array, never pooled)
         delta = plan_pool.stats_by_tag()["semi-lagrangian-departure"] - before
         assert delta.misses == 0
         assert delta.hits >= 2

@@ -9,19 +9,16 @@ threads and assert the properties the service relies on:
   every other thread is charged a hit;
 * byte accounting stays exact (``bytes_used == sum(nbytes)``, never above
   the budget) across concurrent inserts and evictions
-  (:meth:`~repro.runtime.plan_pool.PlanPool.validate_accounting`);
-* the gradient-cache decision log never drops concurrent records.
+  (:meth:`~repro.runtime.plan_pool.PlanPool.validate_accounting`).
 """
 
 from __future__ import annotations
 
 import threading
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
-from repro.core.gradients import GradientCacheDecision, GradientCacheDecisionLog
 from repro.runtime.plan_pool import PlanPool
 
 NUM_THREADS = 8
@@ -192,30 +189,3 @@ class TestAccountingUnderPressure:
         _run_threads(worker)
         summary = pool.validate_accounting()
         assert summary["current_bytes"] <= pool.max_bytes
-
-
-class TestDecisionLogConcurrency:
-    def test_concurrent_records_are_never_lost(self):
-        log = GradientCacheDecisionLog(recent=4)
-        per_thread = 100
-
-        def worker(index):
-            for _ in range(per_thread):
-                log.record(
-                    GradientCacheDecision(
-                        cached=index % 2 == 0,
-                        num_levels=5,
-                        num_points=1,
-                        projected_bytes=120,
-                        budget_bytes=1024,
-                        reason="hammer",
-                    )
-                )
-
-        with ThreadPoolExecutor(max_workers=NUM_THREADS) as executor:
-            list(executor.map(worker, range(NUM_THREADS)))
-        counts = log.counts()
-        assert log.total == NUM_THREADS * per_thread
-        assert counts["cached"] == (NUM_THREADS // 2) * per_thread
-        assert counts["uncached"] == (NUM_THREADS - NUM_THREADS // 2) * per_thread
-        assert len(log.recent()) == 4

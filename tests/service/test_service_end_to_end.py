@@ -99,6 +99,22 @@ class TestFailureIsolation:
             # ... and the queue keeps serving later jobs (no hang)
             assert good.result(timeout=120).shape == grid.shape
 
+    def test_non_finite_image_fails_the_job(self, tiny_problem, fast_options):
+        template = tiny_problem.template.copy()
+        template[0, 0, 0] = np.nan
+        with RegistrationService(num_workers=1) as service:
+            job = service.submit_registration(
+                RegistrationJobSpec(
+                    template=template,
+                    reference=tiny_problem.reference,
+                    options=fast_options,
+                )
+            )
+            with pytest.raises(JobFailedError, match="template image holds 1 non-finite"):
+                job.result(timeout=120)
+        assert job.status is JobStatus.FAILED
+        assert "template image holds 1 non-finite voxel" in job.record.error
+
     def test_failed_transport_batch_fails_every_member(self):
         grid = make_grid(8)
         bad_spec = TransportJobSpec(

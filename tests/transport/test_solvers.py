@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core.gradients import build_gradient_stack
 from repro.spectral.grid import Grid
 from repro.transport.kernels import available_backends
 from repro.transport.solvers import TransportSolver
@@ -139,21 +140,29 @@ class TestAdjointEquation:
         assert lhs == pytest.approx(rhs, rel=2e-2)
 
 
+def gradients_of(solver, state):
+    """The iterate's state-gradient stack, as ``linearize`` builds it."""
+    return build_gradient_stack(solver.operators, state)
+
+
 class TestIncrementalState:
     def test_zero_perturbation_gives_zero(self, grid, solver, rng):
         plan = solver.plan(0.3 * smooth_vector_field(grid, seed=8))
         state = solver.solve_state(plan, smooth_scalar_field(grid, seed=9))
-        rho_tilde = solver.solve_incremental_state(plan, grid.zeros_vector(), state)
+        rho_tilde = solver.solve_incremental_state(
+            plan, grid.zeros_vector(), state, gradients_of(solver, state)
+        )
         np.testing.assert_allclose(rho_tilde, 0.0, atol=1e-12)
 
     def test_linearity_in_perturbation(self, grid, solver):
         plan = solver.plan(0.3 * smooth_vector_field(grid, seed=10))
         state = solver.solve_state(plan, smooth_scalar_field(grid, seed=11))
+        gradients = gradients_of(solver, state)
         va = 0.2 * smooth_vector_field(grid, seed=12)
         vb = 0.2 * smooth_vector_field(grid, seed=13)
-        a = solver.solve_incremental_state(plan, va, state)
-        b = solver.solve_incremental_state(plan, vb, state)
-        ab = solver.solve_incremental_state(plan, va + 2.0 * vb, state)
+        a = solver.solve_incremental_state(plan, va, state, gradients)
+        b = solver.solve_incremental_state(plan, vb, state, gradients)
+        ab = solver.solve_incremental_state(plan, va + 2.0 * vb, state, gradients)
         np.testing.assert_allclose(ab, a + 2.0 * b, atol=1e-8)
 
     def test_matches_finite_difference_of_state(self, grid):
@@ -164,7 +173,7 @@ class TestIncrementalState:
         rho0 = smooth_scalar_field(grid, seed=16)
         plan = solver.plan(v)
         state = solver.solve_state(plan, rho0)
-        rho_tilde = solver.solve_incremental_state(plan, vt, state)
+        rho_tilde = solver.solve_incremental_state(plan, vt, state, gradients_of(solver, state))
 
         eps = 1e-4
         plus = solver.solve_state(solver.plan(v + eps * vt), rho0)[-1]
@@ -175,8 +184,20 @@ class TestIncrementalState:
 
     def test_history_shape_validated(self, grid, solver):
         plan = solver.plan(grid.zeros_vector())
-        with pytest.raises(ValueError):
-            solver.solve_incremental_state(plan, grid.zeros_vector(), np.zeros((2, *grid.shape)))
+        with pytest.raises(ValueError, match="state history"):
+            solver.solve_incremental_state(
+                plan,
+                grid.zeros_vector(),
+                np.zeros((2, *grid.shape)),
+                np.zeros((2, 3, *grid.shape)),
+            )
+
+    def test_gradient_stack_shape_validated(self, grid, solver):
+        plan = solver.plan(grid.zeros_vector())
+        state = np.zeros((5, *grid.shape))
+        for bad in (np.zeros((4, 3, *grid.shape)), np.zeros((5, *grid.shape))):
+            with pytest.raises(ValueError, match="state gradients"):
+                solver.solve_incremental_state(plan, grid.zeros_vector(), state, bad)
 
 
 class TestIncrementalAdjoint:
