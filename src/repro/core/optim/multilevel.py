@@ -26,7 +26,7 @@ from repro.runtime.plan_pool import PoolStats, get_plan_pool
 from repro.spectral.filters import prolong, restrict
 from repro.spectral.grid import Grid
 from repro.utils.logging import get_logger
-from repro.utils.validation import check_positive_int
+from repro.utils.validation import check_finite_image, check_positive_int
 
 LOGGER = get_logger("core.optim.multilevel")
 
@@ -109,6 +109,7 @@ class MultilevelRegistration:
         for name, image in (("reference", self.reference), ("template", self.template)):
             if image.shape != self.grid.shape:
                 raise ValueError(f"{name} has shape {image.shape}, expected {self.grid.shape}")
+            check_finite_image(image, name)
         # every level must keep at least 4 points per dimension
         max_levels = 1
         while max_levels < self.num_levels and all(

@@ -177,6 +177,20 @@ class TestPaperComplexityModel:
         transforms, _ = _measure_matvec_work(nt, fft_backend=backend)
         assert transforms == gauss_newton_transforms_per_matvec()
 
+    @pytest.mark.parametrize("backend", available_fft_backends())
+    def test_full_newton_count_is_backend_independent(self, backend):
+        nt = 4
+        transforms, _ = _measure_matvec_work(nt, fft_backend=backend, gauss_newton=False)
+        assert transforms == paper_transforms_per_matvec(nt)
+
+    @pytest.mark.parametrize("backend", available_fft_backends())
+    def test_linearize_count_is_backend_independent(self, backend):
+        nt = 4
+        problem = _build_problem(nt, fft_backend=backend)
+        before = problem.work_counters()
+        problem.linearize(_generic_velocity(problem))
+        assert (problem.work_counters() - before).fft_transforms == linearize_transforms(nt)
+
 
 class TestInterpolationSweeps:
     """Pin the paper's ``4*nt`` interpolation sweeps per Hessian matvec."""

@@ -1,5 +1,6 @@
 """Tests for the coarse-to-fine (grid continuation) extension."""
 
+import numpy as np
 import pytest
 
 from repro.core.optim.gauss_newton import SolverOptions
@@ -101,6 +102,14 @@ class TestMultilevelRegistration:
                 template=synthetic.template,
                 num_levels=0,
             )
+
+    @pytest.mark.parametrize("image", ["template", "reference"])
+    def test_non_finite_image_is_rejected(self, synthetic, image):
+        """The hierarchy restricts images itself, so it checks them itself."""
+        images = {"template": synthetic.template.copy(), "reference": synthetic.reference.copy()}
+        images[image][2, 3, 4] = np.nan
+        with pytest.raises(ValueError, match=f"{image} image holds 1 non-finite voxel"):
+            MultilevelRegistration(grid=synthetic.grid, num_levels=2, **images)
 
     def test_incompressible_multilevel(self):
         problem = synthetic_registration_problem(16, incompressible=True)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.utils.validation import (
+    check_finite_image,
     check_positive,
     check_positive_int,
     check_probability,
@@ -111,3 +112,27 @@ class TestCheckVelocityShape:
     def test_rejects_wrong_grid(self):
         with pytest.raises(ValueError):
             check_velocity_shape(np.zeros((3, 4, 5, 6)), (4, 5, 7))
+
+
+class TestCheckFiniteImage:
+    def test_accepts_finite_image(self):
+        assert check_finite_image(np.linspace(-1.0, 1.0, 64).reshape(4, 4, 4), "template") is None
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_each_non_finite_value(self, bad):
+        image = np.zeros((4, 4, 4))
+        image[1, 2, 3] = bad
+        with pytest.raises(ValueError, match="holds 1 non-finite voxel"):
+            check_finite_image(image, "template")
+
+    def test_counts_mixed_bad_voxels(self):
+        image = np.ones((4, 4, 4))
+        image[0, 0, :2] = np.nan
+        image[3, 3, 3] = np.inf
+        with pytest.raises(ValueError, match="holds 3 non-finite voxel"):
+            check_finite_image(image, "reference")
+
+    def test_names_the_image(self):
+        image = np.full((4, 4, 4), np.nan)
+        with pytest.raises(ValueError, match=r"^reference image holds 64 "):
+            check_finite_image(image, "reference")
